@@ -1,8 +1,10 @@
-"""Recurrent cells: vanilla RNN, LSTM, GRU, and convolutional GRU.
+"""Recurrent cells: GRU, convolutional GRU, and LSTM.
 
 Each cell exposes a pure step function over (input, state) plus an exact
 backward for one unrolled step; the caller chains the backwards over a
-window for BPTT and accumulates parameter gradients across steps.
+window for BPTT and accumulates parameter gradients across steps. CELLS
+describes each kind to the executor in one shape, so model.py never asks
+which kind it runs.
 
 Gate equations (sigma gates, tanh candidate unless configured otherwise):
     z = sigma(W_hz h + W_xz x + b_z)
@@ -13,6 +15,7 @@ The convolutional variant replaces every matrix product with a stride-1
 "same"-padded convolution, so hidden maps keep their spatial dims.
 """
 
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,15 +25,17 @@ from .layers import ConvKernel, conv2d_backward, conv2d_forward
 from .tensor import fill_random, sigmoid
 
 GRU_WEIGHT_NAMES = ("w_hz", "w_xz", "b_z", "w_hr", "w_xr", "b_r", "w_h", "w_x", "b")
+LSTM_WEIGHT_NAMES = ("w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
+                     "w_xo", "w_ho", "b_o", "w_xc", "w_hc", "b_c")
 
 
 @dataclass
 class RecurrentCellState:
-    """Hidden map carried across the frames of one window."""
+    """Hidden map carried across the frames of one window; in a backward,
+    the gradient with respect to it."""
 
     h: np.ndarray
     c: np.ndarray = None  # LSTM only
-    step_index: int = 0
 
 
 def _params_dict(p):
@@ -59,13 +64,6 @@ class DenseGruParams:
 
         z = lambda: np.zeros(hidden, dtype=dtype)
         return cls(wh(), wx(), z(), wh(), wx(), z(), wh(), wx(), z())
-
-    @property
-    def hidden(self):
-        return self.w_h.shape[0]
-
-    def param_count(self):
-        return sum(int(getattr(self, n).size) for n in GRU_WEIGHT_NAMES)
 
     def as_dict(self):
         return _params_dict(self)
@@ -104,17 +102,6 @@ class ConvGruParams:
 
         z = lambda: np.zeros(hidden_channels, dtype=dtype)
         return cls(wh(), wx(), z(), wh(), wx(), z(), wh(), wx(), z())
-
-    @property
-    def hidden_channels(self):
-        return self.w_h.shape[0]
-
-    @property
-    def kernel(self):
-        return self.w_h.shape[2]
-
-    def param_count(self):
-        return sum(int(getattr(self, n).size) for n in GRU_WEIGHT_NAMES)
 
     def as_dict(self):
         return _params_dict(self)
@@ -155,22 +142,6 @@ class LstmParams:
         return d
 
 
-@dataclass
-class RnnParams:
-    theta: np.ndarray    # hidden -> hidden
-    theta_x: np.ndarray  # input -> hidden
-    theta_y: np.ndarray  # hidden -> output
-
-    @classmethod
-    def init(cls, hidden, input_dim, output_dim, rng, dtype=np.float32):
-        return cls(
-            fill_random((hidden, hidden), rng, "scaled-fan-in", dtype=dtype),
-            fill_random((hidden, input_dim), rng, "scaled-fan-in", dtype=dtype),
-            fill_random((output_dim, hidden), rng, "scaled-fan-in", dtype=dtype),
-        )
-
-    def as_dict(self):
-        return _params_dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +159,7 @@ def gru_step(x, state, p):
     hcand = np.tanh(p.w_h @ rh + p.w_x @ x + p.b)
     h_new = (1 - z) * h + z * hcand
     cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "hcand": hcand}
-    return RecurrentCellState(h_new, step_index=state.step_index + 1), cache
+    return RecurrentCellState(h_new), cache
 
 
 def gru_backward(grad_h_new, cache, p):
@@ -270,7 +241,7 @@ def conv_gru_step(x, state, p):
     cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "hcand": hcand,
              "conv": {"hz": c_hz, "xz": c_xz, "hr": c_hr, "xr": c_xr,
                       "hh": c_hh, "xh": c_xh}}
-    return RecurrentCellState(h_new, step_index=state.step_index + 1), cache
+    return RecurrentCellState(h_new), cache
 
 
 def conv_gru_backward(grad_h_new, cache, p):
@@ -325,7 +296,7 @@ def lstm_step(x, state, p):
     h_new = o * tc
     cache = {"x": x, "h": h, "c": c, "i": i, "f": f, "o": o, "g": g,
              "c_new": c_new, "tc": tc}
-    return RecurrentCellState(h_new, c=c_new, step_index=state.step_index + 1), cache
+    return RecurrentCellState(h_new, c=c_new), cache
 
 
 def lstm_backward(grad_h_new, grad_c_new, cache, p):
@@ -365,43 +336,75 @@ def lstm_backward(grad_h_new, grad_c_new, cache, p):
     return grad_x, grad_h, grad_c_prev, grad
 
 
+
+
 # ---------------------------------------------------------------------------
-# Vanilla RNN
+# The cell table
 
 
-def rnn_step(x, state, p):
-    """h' = theta tanh(h) + theta_x x;  y = theta_y tanh(h')."""
-    h = state.h
-    ph = np.tanh(h)
-    h_new = p.theta @ ph + p.theta_x @ x
-    ph_new = np.tanh(h_new)
-    y = p.theta_y @ ph_new
-    cache = {"x": x, "h": h, "ph": ph, "h_new": h_new, "ph_new": ph_new}
-    return RecurrentCellState(h_new, step_index=state.step_index + 1), y, cache
+@dataclass(frozen=True)
+class CellKind:
+    """What the executor needs to know about one cell kind.
+
+    input_form is "vec" for a cell on flattened features and "chw" for one
+    on a feature map. bind is (RecurrentSpec, {weight name: array}) ->
+    params; step is (x, state, p) -> (state, cache); backward is
+    (grad_state, cache, p) -> (grad_x, grad_state_prev, grads), where a
+    gradient state carries grad_h in .h and, for the LSTM, grad_c in .c.
+    step and backward look the cell functions above up by name at call
+    time, so rebinding a module attribute (as a tracer does) sees every call.
+    """
+
+    input_form: str
+    weight_names: tuple
+    bind: object
+    step: object
+    backward: object
+    carries_c: bool = False
+
+    def param_shapes(self, spec, in_dims):
+        """Weight shapes for input dims (d,) or (c, h, w): biases (hidden,),
+        hidden-path weights (hidden, hidden) and input-path weights
+        (hidden, d or c), each weight with a trailing (k, k) on a map."""
+        h = spec.hidden
+        tail = (spec.kernel, spec.kernel) if self.input_form == "chw" else ()
+        return OrderedDict(
+            (n, (h,) if n.startswith("b")
+             else (h, h if n.startswith("w_h") else in_dims[0]) + tail)
+            for n in self.weight_names)
+
+    def zero_state(self, shape, dtype):
+        """The state at a window start, with hidden maps of the given shape."""
+        c = np.zeros(shape, dtype=dtype) if self.carries_c else None
+        return RecurrentCellState(np.zeros(shape, dtype=dtype), c=c)
 
 
-def rnn_backward(grad_y, grad_h_new, cache, p):
-    """Backward through one RNN step; grad_h_new may be None for the last step."""
-    x, h, ph, h_new, ph_new = (
-        cache[k] for k in ("x", "h", "ph", "h_new", "ph_new"))
-    grad = {"theta_y": np.outer(grad_y, ph_new)}
-    d_hnew = p.theta_y.T @ grad_y * (1 - ph_new * ph_new)
-    if grad_h_new is not None:
-        d_hnew = d_hnew + grad_h_new
-    grad["theta"] = np.outer(d_hnew, ph)
-    grad["theta_x"] = np.outer(d_hnew, x)
-    grad_x = p.theta_x.T @ d_hnew
-    grad_h = p.theta.T @ d_hnew * (1 - ph * ph)
-    return grad_x, grad_h, grad
+def _gru_backward(grad, cache, p):
+    gx, gh, grads = gru_backward(grad.h, cache, p)
+    return gx, RecurrentCellState(gh), grads
 
 
-def dense_gru_param_count(hidden, input_dim):
-    """3 gates x (hidden^2 + hidden*input + hidden)."""
-    return 3 * (hidden * hidden + hidden * input_dim + hidden)
+def _conv_gru_backward(grad, cache, p):
+    gx, gh, grads = conv_gru_backward(grad.h, cache, p)
+    return gx, RecurrentCellState(gh), grads
 
 
-def conv_gru_param_count(hidden_channels, input_channels, kernel):
-    """3 gates x (k^2*f^2 + k^2*c*f + f)."""
-    k2 = kernel * kernel
-    f = hidden_channels
-    return 3 * (k2 * f * f + k2 * input_channels * f + f)
+def _lstm_backward(grad, cache, p):
+    gx, gh, gc, grads = lstm_backward(grad.h, grad.c, cache, p)
+    return gx, RecurrentCellState(gh, c=gc), grads
+
+
+CELLS = {
+    "gru": CellKind("vec", GRU_WEIGHT_NAMES,
+                    lambda spec, w: DenseGruParams(**w),
+                    lambda x, state, p: gru_step(x, state, p), _gru_backward),
+    "conv_gru": CellKind("chw", GRU_WEIGHT_NAMES,
+                         lambda spec, w: ConvGruParams(**w),
+                         lambda x, state, p: conv_gru_step(x, state, p),
+                         _conv_gru_backward),
+    "lstm": CellKind("vec", LSTM_WEIGHT_NAMES,
+                     lambda spec, w: LstmParams(
+                         candidate_activation=spec.candidate_activation, **w),
+                     lambda x, state, p: lstm_step(x, state, p), _lstm_backward,
+                     carries_c=True),
+}

@@ -125,6 +125,8 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if not (args.ckpt or args.oracle):
+        raise ConfigError("eval needs --ckpt or --oracle")
     model = load_checkpoint(args.ckpt) if not args.oracle else None
     window = model.config.window if model else args.window
     samples = _samples_for(args.data, args.split, window)
@@ -208,10 +210,6 @@ def build_parser():
     ap = argparse.ArgumentParser(
         prog="rfcn",
         description="Recurrent fully-convolutional networks for video segmentation")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("RFCN_THREADS", "1")),
-                    help="reserved; execution is single-threaded for "
-                         "reproducibility")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="synthesize a moving-digit dataset")

@@ -217,7 +217,8 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
 
 def _advance(pos, vel, bound, policy):
     pos = pos + vel
-    if policy == "clamp":
+    # a range of zero width has no walls to bounce between: pin the position
+    if policy == "clamp" or bound <= 0:
         return float(np.clip(pos, -bound, bound)), vel
     # bounce: reflect off the offset bounds, flipping velocity
     while pos > bound or pos < -bound:

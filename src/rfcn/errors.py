@@ -32,7 +32,6 @@ class DivergenceError(RfcnError):
     dump a debug checkpoint.
     """
 
-    def __init__(self, message, model=None, epoch=None):
+    def __init__(self, message, model=None):
         super().__init__(message)
         self.model = model
-        self.epoch = epoch

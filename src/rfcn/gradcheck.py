@@ -152,24 +152,23 @@ def audit_layers(rng):
 # Cell audits (two-step unroll so grad_h_prev chains are exercised)
 
 
-def _unroll2(step_fn, back_fn, x1, x2, state0, p, rng, extra_state=False):
-    s1, _ = step_fn(x1, state0, p)
-    s2, _ = step_fn(x2, s1, p)
+def _unroll2(kind, x1, x2, state0, p, rng):
+    """Audit the cell table's step and backward for one kind, which run the
+    module-level cell functions."""
+    cell = cells.CELLS[kind]
+    s1, _ = cell.step(x1, state0, p)
+    s2, _ = cell.step(x2, s1, p)
     wout = _weighted_sum(s2.h.shape, rng)
 
     def loss_fn():
-        a, _ = step_fn(x1, state0, p)
-        b, _ = step_fn(x2, a, p)
+        a, _ = cell.step(x1, state0, p)
+        b, _ = cell.step(x2, a, p)
         return float((b.h * wout).sum())
 
-    s1, c1 = step_fn(x1, state0, p)
-    _, c2 = step_fn(x2, s1, p)
-    if extra_state:
-        gx2, gh, gc, g2 = back_fn(wout, None, c2, p)
-        gx1, gh0, _, g1 = back_fn(gh, gc, c1, p)
-    else:
-        gx2, gh, g2 = back_fn(wout, c2, p)
-        gx1, gh0, g1 = back_fn(gh, c1, p)
+    s1, c1 = cell.step(x1, state0, p)
+    _, c2 = cell.step(x2, s1, p)
+    gx2, grad, g2 = cell.backward(cells.RecurrentCellState(wout), c2, p)
+    gx1, _, g1 = cell.backward(grad, c1, p)
     grads = {k: g1[k] + g2[k] for k in g1}
     grads["x1"] = gx1
     grads["x2"] = gx2
@@ -184,7 +183,7 @@ def audit_gru(rng):
     x1 = rng.uniform(-1, 1, 4)
     x2 = rng.uniform(-1, 1, 4)
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5))
-    return _unroll2(cells.gru_step, cells.gru_backward, x1, x2, s0, p, rng)
+    return _unroll2("gru", x1, x2, s0, p, rng)
 
 
 def audit_conv_gru(rng):
@@ -192,7 +191,7 @@ def audit_conv_gru(rng):
     x1 = rng.uniform(-1, 1, (2, 5, 5))
     x2 = rng.uniform(-1, 1, (2, 5, 5))
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, (3, 5, 5)))
-    return _unroll2(cells.conv_gru_step, cells.conv_gru_backward, x1, x2, s0, p, rng)
+    return _unroll2("conv_gru", x1, x2, s0, p, rng)
 
 
 def audit_lstm(rng, candidate_activation="sigmoid"):
@@ -202,35 +201,7 @@ def audit_lstm(rng, candidate_activation="sigmoid"):
     x2 = rng.uniform(-1, 1, 4)
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5),
                                   c=rng.uniform(-0.5, 0.5, 5))
-    return _unroll2(cells.lstm_step, cells.lstm_backward, x1, x2, s0, p, rng,
-                    extra_state=True)
-
-
-def audit_rnn(rng):
-    p = cells.RnnParams.init(5, 4, 3, rng, dtype=np.float64)
-    x1 = rng.uniform(-1, 1, 4)
-    x2 = rng.uniform(-1, 1, 4)
-    s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5))
-    s1, y1, _ = cells.rnn_step(x1, s0, p)
-    _, y2, _ = cells.rnn_step(x2, s1, p)
-    w2 = _weighted_sum(y2.shape, rng)
-
-    def loss_fn():
-        a, _, _ = cells.rnn_step(x1, s0, p)
-        _, yb, _ = cells.rnn_step(x2, a, p)
-        return float((yb * w2).sum())
-
-    s1, y1, c1 = cells.rnn_step(x1, s0, p)
-    _, y2, c2 = cells.rnn_step(x2, s1, p)
-    gx2, gh, g2 = cells.rnn_backward(w2, None, c2, p)
-    gx1, _, g1 = cells.rnn_backward(np.zeros_like(y1), gh, c1, p)
-    grads = {k: g1[k] + g2[k] for k in g1}
-    grads["x1"] = gx1
-    grads["x2"] = gx2
-    arrays = dict(p.as_dict())
-    arrays["x1"] = x1
-    arrays["x2"] = x2
-    return fd_check(loss_fn, arrays, grads, rng)
+    return _unroll2("lstm", x1, x2, s0, p, rng)
 
 
 def audit_cells(rng):
@@ -238,8 +209,7 @@ def audit_cells(rng):
     for tag, res in (("gru", audit_gru(rng)),
                      ("conv_gru", audit_conv_gru(rng)),
                      ("lstm", audit_lstm(rng)),
-                     ("lstm_tanh", audit_lstm(rng, "tanh")),
-                     ("rnn", audit_rnn(rng))):
+                     ("lstm_tanh", audit_lstm(rng, "tanh"))):
         for k, v in res.items():
             out[f"{tag}.{k}"] = v
     return out
@@ -278,6 +248,21 @@ def tiny_convgru_config():
         ],
         recurrent=RecurrentSpec("conv_gru", hidden=4, kernel=3),
         post=[LayerSpec("conv1x1", depth=1)],
+    )
+
+
+def tiny_lstm_config():
+    """A dense LSTM between a conv trunk and an unflatten, so the audit
+    covers BPTT with the cell-state gradient chained across the window."""
+    return ArchitectureConfig(
+        name="tiny-lstm-net", input_shape=(1, 6, 6), num_classes=1, window=3,
+        pre=[
+            LayerSpec("conv", size=3, pad=1, depth=2),
+            LayerSpec("relu"),
+            LayerSpec("flatten"),
+        ],
+        recurrent=RecurrentSpec("lstm", hidden=36),
+        post=[LayerSpec("unflatten", target_shape=(1, 6, 6))],
     )
 
 
@@ -356,7 +341,8 @@ def run_audit(seed=0, tol=1e-4):
     for prefix, res in (("layer", audit_layers(rng)),
                         ("cell", audit_cells(rng)),
                         ("net.lenet", audit_model(tiny_lenet_config(), rng)),
-                        ("net.convgru", audit_model(tiny_convgru_config(), rng))):
+                        ("net.convgru", audit_model(tiny_convgru_config(), rng)),
+                        ("net.lstm", audit_model(tiny_lstm_config(), rng))):
         for k, v in res.items():
             report[f"{prefix}.{k}"] = v
     ok = all(v <= tol for v in report.values())

@@ -45,7 +45,6 @@ class ConvKernel:
 class LayerActivationCache:
     """Values saved by a forward pass for the matching backward call."""
 
-    kind: str
     input_shape: tuple
     data: dict = field(default_factory=dict)
 
@@ -101,7 +100,7 @@ def conv2d_forward(x, k):
     cols, ho, wo = _im2col(xp, kh, kw, k.stride)
     w2 = k.weights.reshape(f, c * kh * kw)
     y = np.matmul(w2, cols).reshape(n, f, ho, wo) + k.bias.reshape(1, f, 1, 1)
-    cache = LayerActivationCache("conv", x.shape, {"cols": cols, "out_hw": (ho, wo)})
+    cache = LayerActivationCache(x.shape, {"cols": cols, "out_hw": (ho, wo)})
     return y, cache
 
 
@@ -144,7 +143,7 @@ def deconv2d_forward(x, k):
     p = k.pad
     y = yp[:, :, p:-p, p:-p] if p else yp
     y = y + k.bias.reshape(1, c, 1, 1)
-    cache = LayerActivationCache("deconv", x.shape, {"xf": xf, "out_hw": (ho, wo)})
+    cache = LayerActivationCache(x.shape, {"xf": xf, "out_hw": (ho, wo)})
     return y, cache
 
 
@@ -178,8 +177,7 @@ def maxpool2d_forward(x, window, stride=None):
     flat = win.reshape(n, c, ho, wo, window * window)
     arg = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    cache = LayerActivationCache(
-        "pool", x.shape, {"arg": arg, "window": window, "stride": stride})
+    cache = LayerActivationCache(x.shape, {"arg": arg, "window": window, "stride": stride})
     return np.ascontiguousarray(y), cache
 
 
@@ -203,7 +201,7 @@ def maxpool2d_backward(grad_out, cache):
 
 
 def relu_forward(x):
-    cache = LayerActivationCache("relu", x.shape, {"mask": x > 0})
+    cache = LayerActivationCache(x.shape, {"mask": x > 0})
     return np.maximum(x, 0), cache
 
 
@@ -218,7 +216,7 @@ def dense_forward(x, w, b):
     if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.shape[0]:
         raise ShapeError(f"dense shapes incompatible: W {w.shape}, x {x.shape}")
     y = w @ x + b
-    cache = LayerActivationCache("dense", x.shape, {"x": x})
+    cache = LayerActivationCache(x.shape, {"x": x})
     return y, cache
 
 

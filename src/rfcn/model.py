@@ -30,7 +30,7 @@ CHECKPOINT_VERSION = 1
 
 LAYER_KINDS = ("conv", "conv1x1", "deconv", "pool", "relu", "dense", "flatten",
                "unflatten")
-CELL_KINDS = ("gru", "lstm", "conv_gru")
+CELL_KINDS = tuple(cells.CELLS)
 
 
 @dataclass
@@ -227,42 +227,11 @@ def _layer_output_shape(spec, shape):
 
 
 def _cell_param_shapes(rec, in_shape):
-    kind, dims = in_shape
-    shapes = OrderedDict()
-    if rec.kind in ("gru", "lstm"):
-        if kind != "vec":
-            raise ConfigError(f"{rec.kind} needs a flattened input, got {in_shape}")
-        d = dims[0]
-        hdim = rec.hidden
-        if rec.kind == "gru":
-            names = cells.GRU_WEIGHT_NAMES
-        else:
-            names = ("w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-                     "w_xo", "w_ho", "b_o", "w_xc", "w_hc", "b_c")
-        for n in names:
-            if n.startswith("b"):
-                shapes[n] = (hdim,)
-            elif n.startswith("w_h"):
-                shapes[n] = (hdim, hdim)
-            else:
-                shapes[n] = (hdim, d)
-        out = ("vec", (hdim,))
-    elif rec.kind == "conv_gru":
-        if kind != "chw":
-            raise ConfigError("conv_gru needs a spatial input")
-        c, h, w = dims
-        f, k = rec.hidden, rec.kernel
-        for n in cells.GRU_WEIGHT_NAMES:
-            if n.startswith("b"):
-                shapes[n] = (f,)
-            elif n.startswith("w_h"):
-                shapes[n] = (f, f, k, k)
-            else:
-                shapes[n] = (f, c, k, k)
-        out = ("chw", (f, h, w))
-    else:
-        raise ConfigError(f"unknown cell kind {rec.kind!r}")
-    return out, shapes
+    cell = cells.CELLS[rec.kind]
+    form, dims = in_shape
+    if form != cell.input_form:
+        raise ConfigError(f"{rec.kind} needs a {cell.input_form!r} input, got {in_shape}")
+    return (form, (rec.hidden,) + dims[1:]), cell.param_shapes(rec, dims)
 
 
 @dataclass
@@ -344,13 +313,7 @@ class ModelInstance:
         rec = self.config.recurrent
         d = {k.split(".", 1)[1]: v for k, v in self.params.items()
              if k.startswith("cell.")}
-        if rec.kind == "gru":
-            return cells.DenseGruParams(**d)
-        if rec.kind == "conv_gru":
-            return cells.ConvGruParams(**d)
-        if rec.kind == "lstm":
-            return cells.LstmParams(candidate_activation=rec.candidate_activation, **d)
-        raise ConfigError(f"unknown cell kind {rec.kind!r}")
+        return cells.CELLS[rec.kind].bind(rec, d)
 
 
 # GRU cells whose hidden state is decoded into logits start out with the tanh
@@ -495,18 +458,35 @@ class WindowCache:
     frames_used: int
 
 
-def _cell_io(rec):
-    """Whether the cell works on vectors or CHW maps."""
-    return "vec" if rec.kind in ("gru", "lstm") else "chw"
-
-
-def _to_cell_input(x, io_kind):
-    # pre-chain spatial outputs carry a leading batch dim of 1
-    return x if io_kind == "vec" else x[0]
-
-
-def _from_cell_output(h, io_kind):
-    return h if io_kind == "vec" else h[None]
+def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None):
+    """Run the pre-chain over frames, then the cell over their features from
+    state (None: the zero state); returns (recurrent node output, final
+    state). A net without a cell runs the pre-chain on the last frame only.
+    Given lists, each frame's layer and cell caches are appended to them."""
+    cfg = model.config
+    rec = cfg.recurrent
+    if rec is None:
+        frames = frames[-1:]
+    feats = []
+    for f in frames:
+        x, caches, _ = _run_chain(cfg.pre, model.params, "pre", f[None])
+        feats.append(x)
+        if pre_caches is not None:
+            pre_caches.append(caches)
+    if rec is None:
+        return feats[-1], None
+    cell = cells.CELLS[rec.kind]
+    # spatial pre-chain outputs and post-chain inputs carry a batch dim of 1
+    spatial = cell.input_form == "chw"
+    p = model.cell_params()
+    for x in feats:
+        x = x[0] if spatial else x
+        if state is None:
+            state = cell.zero_state((rec.hidden,) + x.shape[1:], model.dtype)
+        state, cache = cell.step(x, state, p)
+        if cell_caches is not None:
+            cell_caches.append(cache)
+    return (state.h[None] if spatial else state.h), state
 
 
 def forward_window(model, frames):
@@ -517,51 +497,13 @@ def forward_window(model, frames):
     for t, f in enumerate(frames):
         if f.shape != cfg.input_shape:
             raise ShapeError(f"frame {t} shape {f.shape} != input {cfg.input_shape}")
-    params = model.params
-    rec = cfg.recurrent
-    if rec is None:
-        x, pre_caches, _ = _run_chain(cfg.pre, params, "pre", frames[-1][None])
-        node_out = x
-        pre_all = [pre_caches]
-        cell_caches = []
-    else:
-        io_kind = _cell_io(rec)
-        p = model.cell_params()
-        pre_all = []
-        feats = []
-        for f in frames:
-            x, pre_caches, _ = _run_chain(cfg.pre, params, "pre", f[None])
-            pre_all.append(pre_caches)
-            feats.append(_to_cell_input(x, io_kind))
-        state = init_cell_state(model, feats[0])
-        cell_caches = []
-        for x in feats:
-            if rec.kind == "gru":
-                state, cache = cells.gru_step(x, state, p)
-            elif rec.kind == "conv_gru":
-                state, cache = cells.conv_gru_step(x, state, p)
-            else:
-                state, cache = cells.lstm_step(x, state, p)
-            cell_caches.append(cache)
-        node_out = _from_cell_output(state.h, io_kind)
-
+    pre_caches, cell_caches = [], []
+    node_out, _ = _run_frames(model, frames, None, pre_caches, cell_caches)
     logits, post_caches, post_outputs, skip_caches = _post_forward(model, node_out)
-    cache = WindowCache(pre=pre_all, cell=cell_caches, post=post_caches,
+    cache = WindowCache(pre=pre_caches, cell=cell_caches, post=post_caches,
                         post_outputs=post_outputs, skip=skip_caches,
                         frames_used=len(frames))
     return logits, cache
-
-
-def init_cell_state(model, first_feat):
-    """Zero state shaped from the recurrent input (reset at each window start)."""
-    rec = model.config.recurrent
-    if rec.kind in ("gru", "lstm"):
-        h = np.zeros(rec.hidden, dtype=model.dtype)
-        c = np.zeros(rec.hidden, dtype=model.dtype) if rec.kind == "lstm" else None
-    else:
-        h = np.zeros((rec.hidden,) + first_feat.shape[1:], dtype=model.dtype)
-        c = None
-    return cells.RecurrentCellState(h, c=c, step_index=0)
 
 
 def _post_forward(model, node_out):
@@ -649,33 +591,23 @@ def _pre_backward(model, grad_feat, pre_caches, grads):
 
 def backward_window(model, grad_logits, cache):
     """BPTT over one window; returns a dict of gradients for every parameter."""
-    cfg = model.config
     grads = zero_grads(model)
     grad_node = _post_backward(model, grad_logits, cache, grads)
-    rec = cfg.recurrent
-    if rec is None:
-        _pre_backward(model, grad_node, cache.pre[0], grads)
-        return grads
-    io_kind = _cell_io(rec)
-    p = model.cell_params()
-    grad_h = grad_node if io_kind == "vec" else grad_node[0]
-    grad_c = None
-    T = cache.frames_used
-    feat_grads = [None] * T
-    for t in range(T - 1, -1, -1):
-        if rec.kind == "gru":
-            gx, grad_h, cgrads = cells.gru_backward(grad_h, cache.cell[t], p)
-        elif rec.kind == "conv_gru":
-            gx, grad_h, cgrads = cells.conv_gru_backward(grad_h, cache.cell[t], p)
-        else:
-            gx, grad_h, grad_c, cgrads = cells.lstm_backward(
-                grad_h, grad_c, cache.cell[t], p)
-        for name, gval in cgrads.items():
-            grads[f"cell.{name}"] += gval
-        feat_grads[t] = gx
-    for t in range(T):
-        g = feat_grads[t] if io_kind == "vec" else feat_grads[t][None]
-        _pre_backward(model, g, cache.pre[t], grads)
+    feat_grads = [grad_node]  # without a cell, the node is the last frame's features
+    rec = model.config.recurrent
+    if rec is not None:
+        cell = cells.CELLS[rec.kind]
+        spatial = cell.input_form == "chw"
+        p = model.cell_params()
+        grad = cells.RecurrentCellState(grad_node[0] if spatial else grad_node)
+        feat_grads = []
+        for cell_cache in reversed(cache.cell):
+            gx, grad, cgrads = cell.backward(grad, cell_cache, p)
+            for name, gval in cgrads.items():
+                grads[f"cell.{name}"] += gval
+            feat_grads.insert(0, gx[None] if spatial else gx)
+    for g, pre_caches in zip(feat_grads, cache.pre):
+        _pre_backward(model, g, pre_caches, grads)
     return grads
 
 
@@ -683,34 +615,17 @@ def forward_stream(model, frames, emit_from=None):
     """Streaming inference: carry the hidden state across all frames and emit
     logits for every frame index >= window-1 (or emit_from)."""
     cfg = model.config
-    start = cfg.window - 1 if emit_from is None else emit_from
+    start = max(cfg.window - 1 if emit_from is None else emit_from, 0)
     if len(frames) < cfg.window:
         raise ShapeError(f"need at least {cfg.window} frames, got {len(frames)}")
-    rec = cfg.recurrent
     out = []
-    if rec is None:
-        for t in range(start, len(frames)):
-            x, _, _ = _run_chain(cfg.pre, model.params, "pre", frames[t][None])
-            logits, _, _, _ = _post_forward(model, x)
-            out.append((t, logits))
-        return out
-    io_kind = _cell_io(rec)
-    p = model.cell_params()
     state = None
-    for t, f in enumerate(frames):
-        x, _, _ = _run_chain(cfg.pre, model.params, "pre", f[None])
-        feat = _to_cell_input(x, io_kind)
-        if state is None:
-            state = init_cell_state(model, feat)
-        if rec.kind == "gru":
-            state, _ = cells.gru_step(feat, state, p)
-        elif rec.kind == "conv_gru":
-            state, _ = cells.conv_gru_step(feat, state, p)
-        else:
-            state, _ = cells.lstm_step(feat, state, p)
-        if t >= start:
-            logits, _, _, _ = _post_forward(model, _from_cell_output(state.h, io_kind))
-            out.append((t, logits))
+    seen = 0
+    for t in range(start, len(frames)):
+        # each call runs the frames not yet seen: 0..start first, then one
+        node_out, state = _run_frames(model, frames[seen:t + 1], state)
+        seen = t + 1
+        out.append((t, _post_forward(model, node_out)[0]))
     return out
 
 

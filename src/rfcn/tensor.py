@@ -1,8 +1,10 @@
-"""Dense tensor primitives: elementwise ops, matmul, and seeded random fills.
+"""Tensor helpers: a finiteness check, a stable sigmoid, and seeded random
+fills.
 
 Tensors are plain numpy arrays in row-major layout; 4-d activations use the
-NCHW convention. Every op checks its result for NaN/Inf and fails fast with
-the op name and the first offending flat index.
+NCHW convention. check_finite fails fast with the op name and the first
+offending flat index; it guards every window's logits and every random
+draw.
 """
 
 import numpy as np
@@ -29,64 +31,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def tanh(x):
-    return np.tanh(x)
-
-
-def relu(x):
-    return np.maximum(x, 0)
-
-
-def _broadcast_bias(a, b):
-    """Allow a per-channel bias to broadcast over the spatial dims of NCHW/CHW."""
-    b = np.asarray(b)
-    a = np.asarray(a)
-    if b.shape == a.shape:
-        return b
-    if b.ndim == 1:
-        if a.ndim == 4 and b.shape[0] == a.shape[1]:
-            return b.reshape(1, -1, 1, 1)
-        if a.ndim == 3 and b.shape[0] == a.shape[0]:
-            return b.reshape(-1, 1, 1)
-    raise ShapeError(f"operand shape {b.shape} incompatible with {a.shape}")
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-_BINARY = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "scale": np.multiply,
-}
-
-
-def elementwise(op, a, b=None):
-    """Apply a tagged elementwise op; binary ops accept an equal-shape operand
-    or a per-channel bias vector."""
-    a = np.asarray(a)
-    if op in _UNARY:
-        if b is not None:
-            raise ShapeError(f"{op} takes one operand")
-        out = _UNARY[op](a)
-    elif op in _BINARY:
-        if b is None:
-            raise ShapeError(f"{op} takes two operands")
-        out = _BINARY[op](a, _broadcast_bias(a, b))
-    else:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    return check_finite(out, op)
-
-
-def matmul(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims differ: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul")
 
 
 class Rng:

@@ -1,5 +1,5 @@
 """Recurrent cell tests: gate-equation oracles, the conv/dense GRU
-degeneracy, and parameter counts."""
+degeneracy, and the cell table."""
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +7,7 @@ import pytest
 
 from rfcn import cells
 from rfcn.errors import ShapeError
+from rfcn.model import RecurrentSpec
 from rfcn.tensor import Rng, sigmoid
 
 
@@ -26,14 +27,6 @@ def test_gru_step_matches_gate_equations():
         h = rng.uniform(-1, 1, 6)
         state, _ = cells.gru_step(x, cells.RecurrentCellState(h), p)
         npt.assert_allclose(state.h, gru_oracle(x, h, p), atol=1e-14)
-
-
-def test_gru_step_increments_step_index():
-    rng = Rng(201)
-    p = cells.DenseGruParams.init(3, 2, rng, dtype=np.float64)
-    s = cells.RecurrentCellState(np.zeros(3), step_index=4)
-    s2, _ = cells.gru_step(rng.uniform(-1, 1, 2), s, p)
-    assert s2.step_index == 5
 
 
 def test_gru_rejects_mismatched_dims():
@@ -96,23 +89,10 @@ def test_lstm_step_matches_gate_equations():
         npt.assert_allclose(s.h, o * np.tanh(c_new), atol=1e-14)
 
 
-def test_rnn_step_matches_equations():
-    rng = Rng(207)
-    p = cells.RnnParams.init(5, 3, 2, rng, dtype=np.float64)
-    x = rng.uniform(-1, 1, 3)
-    h = rng.uniform(-1, 1, 5)
-    s, y, _ = cells.rnn_step(x, cells.RecurrentCellState(h), p)
-    h_new = p.theta @ np.tanh(h) + p.theta_x @ x
-    npt.assert_allclose(s.h, h_new, atol=1e-14)
-    npt.assert_allclose(y, p.theta_y @ np.tanh(h_new), atol=1e-14)
-
-
-def test_param_count_helpers_match_instances():
-    rng = Rng(208)
-    dp = cells.DenseGruParams.init(7, 4, rng)
-    assert dp.param_count() == cells.dense_gru_param_count(7, 4)
-    cp = cells.ConvGruParams.init(6, 3, 5, rng)
-    assert cp.param_count() == cells.conv_gru_param_count(6, 3, 5)
+def test_cell_table_binds_the_lstm_candidate_activation():
+    spec = RecurrentSpec("lstm", hidden=5, candidate_activation="tanh")
+    p = cells.LstmParams.init(5, 3, Rng(207), candidate_activation="tanh")
+    assert cells.CELLS["lstm"].bind(spec, p.as_dict()).candidate_activation == "tanh"
 
 
 def test_gru_backward_consistent_with_finite_difference():

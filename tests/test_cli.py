@@ -122,6 +122,9 @@ def test_usage_errors_exit_2(tmp_path, dataset):
     rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
                "--config", bad, "--out", str(tmp_path / "x.ckpt")])
     assert rc == 2
+    # eval with neither a checkpoint nor the oracle
+    rc = main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
+    assert rc == 2
 
 
 def test_runtime_errors_exit_1(tmp_path):

@@ -92,6 +92,17 @@ def test_advance_clamp_pins_at_bound():
     assert p == 8.0 and v == 2.0
 
 
+def test_gen_moving_mnist_zero_offset_bound_returns():
+    """With no room to move, a bouncing digit stays put instead of
+    reflecting off the zero-width range forever."""
+    digits, labels = D.builtin_digits()
+    motion = D.MotionSpec((1.5, -0.5), "bounce")
+    seq = D.gen_moving_mnist(digits, labels, motion, 4, Rng(405), max_offset=0)
+    assert len(seq) == 4
+    for frame in seq.frames[1:]:
+        npt.assert_array_equal(frame, seq.frames[0])
+
+
 def test_gen_moving_mnist_masks_are_thresholded_frames():
     digits, labels = D.builtin_digits()
     rng = Rng(404)

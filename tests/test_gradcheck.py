@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from rfcn.gradcheck import (DENOM_FLOOR, fd_check, rel_err, tiny_convgru_config,
-                            tiny_lenet_config)
-from rfcn.model import shape_check
+from rfcn.gradcheck import (DENOM_FLOOR, _kink_clearance, fd_check, rel_err,
+                            tiny_convgru_config, tiny_lenet_config,
+                            tiny_lstm_config)
+from rfcn.model import init_model, shape_check
 from rfcn.tensor import Rng
 
 
@@ -54,6 +55,17 @@ def test_fd_check_restores_probed_values():
 
 
 def test_tiny_audit_configs_are_valid():
-    for cfg in (tiny_lenet_config(), tiny_convgru_config()):
+    for cfg in (tiny_lenet_config(), tiny_convgru_config(), tiny_lstm_config()):
         report = shape_check(cfg)
         assert report.output_shape[0] == cfg.num_classes
+
+
+def test_kink_clearance_sees_relu_and_pool():
+    """The clearance probes the relu and pool calls the executor makes; if
+    they stopped reaching it, it would stay infinite and the audit would
+    stop rejecting frames that sit on a kink."""
+    cfg = tiny_lenet_config()
+    rng = Rng(603)
+    model = init_model(cfg, rng, dtype=np.float64)
+    frames = [rng.uniform(0, 1, cfg.input_shape) for _ in range(cfg.window)]
+    assert np.isfinite(_kink_clearance(model, frames))

@@ -16,14 +16,25 @@ from rfcn.model import (ArchitectureConfig, LayerSpec, PRESET_NAMES,
 from rfcn.tensor import Rng
 
 
-def small_config(window=3):
+# cell kind (None: no cell) -> (recurrent node, pre-chain tail, post chain)
+SMALL_NETS = {
+    "gru": (RecurrentSpec("gru", hidden=64), [LayerSpec("flatten")],
+            [LayerSpec("unflatten", target_shape=(1, 8, 8))]),
+    "lstm": (RecurrentSpec("lstm", hidden=64), [LayerSpec("flatten")],
+             [LayerSpec("unflatten", target_shape=(1, 8, 8))]),
+    "conv_gru": (RecurrentSpec("conv_gru", hidden=2, kernel=3), [],
+                 [LayerSpec("conv1x1", depth=1)]),
+    None: (None, [], [LayerSpec("conv1x1", depth=1)]),
+}
+
+
+def small_config(window=3, kind="gru"):
+    recurrent, tail, post = SMALL_NETS[kind]
     return ArchitectureConfig(
         name="small", input_shape=(1, 8, 8), num_classes=1, window=window,
         pre=[LayerSpec("conv", size=3, pad=1, depth=3),
-             LayerSpec("relu"),
-             LayerSpec("flatten")],
-        recurrent=RecurrentSpec("gru", hidden=64),
-        post=[LayerSpec("unflatten", target_shape=(1, 8, 8))],
+             LayerSpec("relu")] + tail,
+        recurrent=recurrent, post=post,
     )
 
 
@@ -115,35 +126,38 @@ def test_forward_window_validates_frame_shape():
 
 
 def test_backward_window_covers_every_parameter():
-    cfg = small_config()
-    m = init_model(cfg, Rng(3), dtype=np.float64)
-    rng = Rng(4)
-    frames = [rng.uniform(0, 1, (1, 8, 8)) for _ in range(3)]
-    logits, cache = forward_window(m, frames)
-    grads = backward_window(m, np.ones_like(logits), cache)
-    assert set(grads) == set(m.params)
-    for k, g in grads.items():
-        assert g.shape == m.params[k].shape
-    # weight gradients are generically nonzero
-    assert any(np.abs(g).max() > 0 for k, g in grads.items()
-               if k.startswith("cell."))
+    for kind in SMALL_NETS:
+        m = init_model(small_config(kind=kind), Rng(3), dtype=np.float64)
+        rng = Rng(4)
+        frames = [rng.uniform(0, 1, (1, 8, 8)) for _ in range(3)]
+        logits, cache = forward_window(m, frames)
+        grads = backward_window(m, np.ones_like(logits), cache)
+        assert list(grads) == list(m.params), kind
+        for k, g in grads.items():
+            assert g.shape == m.params[k].shape, (kind, k)
+        # weight gradients are generically nonzero
+        cell_grads = [g for k, g in grads.items() if k.startswith("cell.")]
+        assert (kind is None) == (not cell_grads), kind
+        assert kind is None or any(np.abs(g).max() > 0 for g in cell_grads), kind
+        assert np.abs(grads["pre.0.conv.weights"]).max() > 0, kind
 
 
 def test_forward_stream_first_emission_matches_window():
-    cfg = small_config()
-    m = init_model(cfg, Rng(5))
-    rng = Rng(6)
-    frames = [rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
-              for _ in range(6)]
-    stream = forward_stream(m, frames)
-    assert [t for t, _ in stream] == [2, 3, 4, 5]
-    # the first streamed emission saw exactly frames 0..2 from zero state,
-    # the same computation as one window
-    win_logits, _ = forward_window(m, frames[:3])
-    npt.assert_allclose(stream[0][1], win_logits, atol=1e-6)
-    # later emissions differ: the carried state reaches further back
-    win4, _ = forward_window(m, frames[3:6])
-    assert np.abs(stream[-1][1] - win4).max() > 0
+    for kind in SMALL_NETS:
+        m = init_model(small_config(kind=kind), Rng(5))
+        rng = Rng(6)
+        frames = [rng.uniform(0, 1, (1, 8, 8)).astype(np.float32)
+                  for _ in range(6)]
+        stream = forward_stream(m, frames)
+        assert [t for t, _ in stream] == [2, 3, 4, 5], kind
+        # the first streamed emission saw exactly frames 0..2 from zero
+        # state, the same computation as one window
+        win_logits, _ = forward_window(m, frames[:3])
+        assert np.array_equal(stream[0][1], win_logits), kind
+        # later emissions differ when a cell carries state further back; a
+        # net without a cell sees the last frame only
+        win4, _ = forward_window(m, frames[3:6])
+        assert np.array_equal(stream[-1][1], win4) == (kind is None), kind
 
 
 def test_forward_stream_needs_enough_frames():

@@ -1,12 +1,11 @@
-"""Tests for tensor primitives: elementwise ops, finiteness checks, RNG."""
+"""Tests for tensor helpers: sigmoid, finiteness checks, RNG."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rfcn.errors import NumericsError, ShapeError
-from rfcn.tensor import (Rng, check_finite, elementwise, fill_random, matmul,
-                         sigmoid)
+from rfcn.errors import NumericsError
+from rfcn.tensor import Rng, check_finite, fill_random, sigmoid
 
 
 def test_sigmoid_matches_naive_in_safe_range():
@@ -28,36 +27,6 @@ def test_check_finite_reports_op_and_index():
         check_finite(x, "myop")
     assert "myop" in str(e.value)
     assert "2" in str(e.value)
-
-
-def test_elementwise_binary_and_bias_broadcast():
-    rng = Rng(2)
-    a = rng.uniform(-1, 1, (2, 3, 4, 4))
-    b = rng.uniform(-1, 1, (2, 3, 4, 4))
-    npt.assert_array_equal(elementwise("add", a, b), a + b)
-    bias = rng.uniform(-1, 1, 3)
-    npt.assert_array_equal(elementwise("add", a, bias),
-                           a + bias.reshape(1, 3, 1, 1))
-    chw = rng.uniform(-1, 1, (3, 4, 4))
-    npt.assert_array_equal(elementwise("mul", chw, bias),
-                           chw * bias.reshape(3, 1, 1))
-
-
-def test_elementwise_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        elementwise("add", np.zeros((2, 3, 4, 4)), np.zeros(5))
-    with pytest.raises(ShapeError):
-        elementwise("relu", np.zeros(3), np.zeros(3))
-
-
-def test_matmul_checks_rank_and_dims():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros(3), np.zeros((3, 2)))
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    a = np.arange(6, dtype=float).reshape(2, 3)
-    b = np.arange(12, dtype=float).reshape(3, 4)
-    npt.assert_array_equal(matmul(a, b), a @ b)
 
 
 def test_rng_determinism_and_split_independence():
