@@ -5,6 +5,11 @@ kernel flip). Convolution is implemented as im2col + matmul; transposed
 convolution is the exact adjoint of convolution with the same kernel, so
 deconv_forward(g) equals the grad_x that conv2d_backward would produce for
 grad_out = g (plus an output-channel bias).
+
+Conv and deconv weight gradients are one GEMM each, contracting the batch and
+pixel axes together. The col2im scatter of a transposed conv whose patches
+tile the image (stride equal to the kernel size, no remainder) is a transpose
+of the columns instead of a loop over kernel offsets.
 """
 
 from dataclasses import dataclass, field
@@ -66,6 +71,12 @@ def _col2im(cols, n, c, hp, wp, kh, kw, stride):
     wo = (wp - kw) // stride + 1
     cols = cols.reshape(n, c, kh, kw, ho, wo)
     x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    if stride == kh == kw and (hp, wp) == (ho * kh, wo * kw):
+        # the patches tile the image: each pixel takes exactly one value, so
+        # the scatter-add is a transpose of the columns into the image
+        tiles = x.reshape(n, c, ho, kh, wo, kw)
+        tiles += cols.transpose(0, 1, 4, 2, 5, 3)
+        return x
     for i in range(kh):
         for j in range(kw):
             x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
@@ -114,7 +125,7 @@ def conv2d_backward(grad_out, cache, k):
     cols = cache.data["cols"]
     gy = grad_out.reshape(n, f, ho * wo)
     grad_b = gy.sum(axis=(0, 2))
-    grad_w = np.einsum("nfl,nkl->fk", gy, cols).reshape(f, c, kh, kw)
+    grad_w = np.tensordot(gy, cols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
     w2 = k.weights.reshape(f, c * kh * kw)
     grad_cols = np.matmul(w2.T, gy)
     gx = _col2im(grad_cols, n, c, h + 2 * k.pad, w + 2 * k.pad, kh, kw, k.stride)
@@ -159,7 +170,7 @@ def deconv2d_backward(grad_out, cache, k):
     w2 = k.weights.reshape(f, c * kh * kw)
     grad_x = np.matmul(w2, gcols).reshape(n, f, h, w)
     xf = cache.data["xf"]
-    grad_w = np.einsum("nfl,nkl->fk", xf, gcols).reshape(f, c, kh, kw)
+    grad_w = np.tensordot(xf, gcols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
     return grad_x, grad_w, grad_b
 
 

@@ -817,13 +817,17 @@ def load_checkpoint(path, dtype=np.float32):
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (clen,) = struct.unpack("<I", _read(f, 4, "config length"))
+        text = _read(f, clen, "config")
         try:
-            config = ArchitectureConfig.from_json(_read(f, clen, "config").decode("utf-8"))
-        except (json.JSONDecodeError, KeyError) as e:
+            config = ArchitectureConfig.from_json(text.decode("utf-8"))
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError; the
+            # others come from fields of the wrong type or an unknown kind
             raise CheckpointError(f"embedded config unreadable: {e}") from e
         try:
             report = shape_check(config)
-        except ConfigError as e:
+        except (ConfigError, TypeError) as e:
+            # TypeError: a layer field of the wrong type, e.g. a string size
             raise CheckpointError(f"embedded config invalid: {e}") from e
         (count,) = struct.unpack("<I", _read(f, 4, "tensor count"))
         params = OrderedDict()

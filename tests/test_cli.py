@@ -9,7 +9,8 @@ import pytest
 
 from rfcn.cli import main
 from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
-                        load_checkpoint)
+                        init_model, load_checkpoint, save_checkpoint)
+from rfcn.tensor import Rng
 
 
 def tiny_arch(tmp_path):
@@ -134,6 +135,17 @@ def test_runtime_errors_exit_1(tmp_path):
     assert rc == 1
 
 
+def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
+    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+    m = init_model(cfg, Rng(3))
+    m.config.recurrent.kind = "rnn"  # no such cell kind
+    ckpt = str(tmp_path / "bad.ckpt")
+    save_checkpoint(m, ckpt)
+    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+
+
 def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):
     arch = tiny_arch(tmp_path)
     ckpt = str(tmp_path / "m.ckpt")
@@ -143,7 +155,6 @@ def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):
     assert rc == 0
     m = load_checkpoint(ckpt)
     m.params["cell.b"] = np.full_like(m.params["cell.b"], np.nan)
-    from rfcn.model import save_checkpoint
     save_checkpoint(m, ckpt)
     rc = main(["train", "--arch", arch, "--data", dataset, "--out",
                str(tmp_path / "m2.ckpt"), "--init-ckpt", ckpt,

@@ -6,7 +6,7 @@ import pytest
 
 from rfcn.errors import ShapeError
 from rfcn.layers import (ConvKernel, bilinear_kernel, conv2d_backward,
-                         conv2d_forward, conv_output_dim,
+                         conv2d_forward, conv_output_dim, deconv2d_backward,
                          deconv2d_forward, deconv_output_dim, dense_backward,
                          dense_forward, flatten, maxpool2d_backward,
                          maxpool2d_forward, relu_backward, relu_forward,
@@ -49,6 +49,46 @@ def deconv2d_oracle(x, w, b, stride, pad):
     return y + b.reshape(1, c, 1, 1)
 
 
+def col2im_loop(cols, n, c, hp, wp, kh, kw, stride):
+    """Scatter-add patch columns into an image one kernel offset at a time:
+    the reference for every geometry _col2im handles."""
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    cols = cols.reshape(n, c, kh, kw, ho, wo)
+    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
+    return x
+
+
+def weight_grad_oracle(g, x, kh, kw, stride, pad):
+    """grad_w[f, c, a, b] = sum_n sum_ij g[n, f, i, j] * xp[n, c, i*S + a, j*S + b]
+    with xp = x zero-padded by `pad`, summed one sample and one kernel tap
+    at a time. For conv, g is grad_out and x the input; for deconv, g is the
+    input and x grad_out."""
+    n, f, ho, wo = g.shape
+    c = x.shape[1]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    gw = np.zeros((f, c, kh, kw), dtype=g.dtype)
+    for ni in range(n):
+        gn = g[ni].reshape(f, ho * wo)
+        for a in range(kh):
+            for b in range(kw):
+                patch = xp[ni, :, a:a + stride * ho:stride, b:b + stride * wo:stride]
+                gw[:, :, a, b] += gn @ patch.reshape(c, ho * wo).T
+    return gw
+
+
+# (kernel, stride, pad, h, w) at the edges of _col2im's tiling path: stride
+# == kernel with and without pad, stride > kernel, and (conv input only) a
+# padded size that is not a multiple of the stride, which takes the loop
+EDGE_GEOMETRIES = [(2, 2, 0, 6, 8), (3, 3, 0, 6, 9), (4, 4, 0, 8, 12),
+                   (2, 2, 1, 6, 8), (3, 3, 1, 7, 4), (4, 4, 1, 6, 10),
+                   (2, 3, 0, 8, 8), (2, 3, 1, 7, 7),
+                   (3, 3, 0, 8, 7), (4, 4, 1, 7, 9)]
+
+
 def random_conv_case(rng):
     n = rng.integers(1, 3)
     c = rng.integers(1, 4)
@@ -87,6 +127,19 @@ def test_deconv2d_forward_matches_oracle():
         y, _ = deconv2d_forward(xin, ConvKernel(w, bias, stride, pad))
         npt.assert_allclose(y, deconv2d_oracle(xin, w, bias, stride, pad),
                             atol=1e-12)
+    for k, stride, pad, h, wd in EDGE_GEOMETRIES:
+        xin = rng.uniform(-1, 1, (2, 3, h, wd)).astype(np.float32)
+        w = rng.uniform(-1, 1, (3, 2, k, k)).astype(np.float32)
+        bias = rng.uniform(-1, 1, 2).astype(np.float32)
+        y, _ = deconv2d_forward(xin, ConvKernel(w, bias, stride, pad))
+        npt.assert_allclose(y, deconv2d_oracle(xin, w, bias, stride, pad),
+                            rtol=1e-5, atol=1e-5)
+        ho = deconv_output_dim(h, k, stride, pad)
+        wo = deconv_output_dim(wd, k, stride, pad)
+        cols = np.matmul(w.reshape(3, 2 * k * k).T, xin.reshape(2, 3, h * wd))
+        yp = col2im_loop(cols, 2, 2, ho + 2 * pad, wo + 2 * pad, k, k, stride)
+        ref = yp[:, :, pad:pad + ho, pad:pad + wo] + bias.reshape(1, 2, 1, 1)
+        assert np.array_equal(y, ref), (k, stride, pad, h, wd)
 
 
 def tiling_conv_case(rng):
@@ -128,6 +181,23 @@ def test_conv_backward_input_equals_deconv_forward():
         kd = ConvKernel(w, np.zeros(w.shape[1]), stride, pad)
         via_deconv, _ = deconv2d_forward(g, kd)
         npt.assert_allclose(gx, via_deconv, atol=1e-12)
+    # at the edges of _col2im's tiling path, grad_x equals the offset-by-
+    # offset scatter bit for bit and stays the adjoint of the forward conv
+    for k, stride, pad, h, wd in EDGE_GEOMETRIES:
+        x = rng.uniform(-1, 1, (2, 2, h, wd)).astype(np.float32)
+        w = rng.uniform(-1, 1, (3, 2, k, k)).astype(np.float32)
+        kc = ConvKernel(w, np.zeros(3, dtype=np.float32), stride, pad)
+        y, cache = conv2d_forward(x, kc)
+        g = rng.uniform(-1, 1, y.shape).astype(np.float32)
+        gx, _, _ = conv2d_backward(g, cache, kc)
+        ho, wo = y.shape[2:]
+        gcols = np.matmul(w.reshape(3, 2 * k * k).T, g.reshape(2, 3, ho * wo))
+        ref = col2im_loop(gcols, 2, 2, h + 2 * pad, wd + 2 * pad, k, k, stride)
+        assert np.array_equal(gx, ref[:, :, pad:pad + h, pad:pad + wd]), \
+            (k, stride, pad, h, wd)
+        lhs = float(np.sum(y.astype(np.float64) * g))
+        rhs = float(np.sum(x.astype(np.float64) * gx))
+        assert abs(lhs - rhs) <= 1e-5 * max(1.0, abs(lhs))
 
 
 def test_conv_backward_bias_and_weight_shapes():
@@ -141,6 +211,31 @@ def test_conv_backward_bias_and_weight_shapes():
     assert gb.shape == b.shape
     # bias gradient of an all-ones upstream is the output pixel count
     npt.assert_allclose(gb, y[:, 0].size)
+
+
+def test_weight_gradients_match_loop_oracle():
+    """conv and deconv grad_w contract over batch and pixels at once; check
+    them against a per-sample, per-tap sum for batch sizes 1 to 3."""
+    rng = Rng(110)
+    for n in (1, 2, 3):
+        for _ in range(6):
+            x, w, b, stride, pad = random_conv_case(rng)
+            x = rng.uniform(-1, 1, (n,) + x.shape[1:])
+            f, c, kh, kw = w.shape
+            kc = ConvKernel(w, b, stride, pad)
+            y, cache = conv2d_forward(x, kc)
+            g = rng.uniform(-1, 1, y.shape)
+            _, gw, _ = conv2d_backward(g, cache, kc)
+            npt.assert_allclose(gw, weight_grad_oracle(g, x, kh, kw, stride, pad),
+                                rtol=0, atol=1e-12)
+
+            xin = rng.uniform(-1, 1, (n, f) + x.shape[2:])
+            kd = ConvKernel(w, rng.uniform(-1, 1, c), stride, pad)
+            yd, cache = deconv2d_forward(xin, kd)
+            gd = rng.uniform(-1, 1, yd.shape)
+            _, gw, _ = deconv2d_backward(gd, cache, kd)
+            npt.assert_allclose(gw, weight_grad_oracle(xin, gd, kh, kw, stride, pad),
+                                rtol=0, atol=1e-12)
 
 
 def test_maxpool_forward_matches_oracle():

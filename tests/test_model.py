@@ -2,6 +2,7 @@
 and checkpoint serialization."""
 
 import json
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -218,6 +219,42 @@ def test_checkpoint_corrupted_version_fails_cleanly(tmp_path):
     blob = bytearray(open(path, "rb").read())
     blob[4] = 0xFF  # version field
     open(path, "wb").write(bytes(blob))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def write_with_config(path, model, edit):
+    """Save `model`, then swap its embedded config for edit(config dict)."""
+    save_checkpoint(model, path)
+    blob = open(path, "rb").read()
+    (clen,) = struct.unpack("<I", blob[8:12])  # after magic and version
+    doc = json.loads(blob[12:12 + clen])
+    edit(doc)
+    cfg = json.dumps(doc).encode("utf-8")
+    open(path, "wb").write(blob[:8] + struct.pack("<I", len(cfg)) + cfg
+                           + blob[12 + clen:])
+
+
+def test_checkpoint_unknown_cell_kind_is_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    write_with_config(path, init_model(small_config(), Rng(15)),
+                      lambda d: d["recurrent"].update(kind="rnn"))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_list_input_shape_is_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    write_with_config(path, init_model(small_config(), Rng(16)),
+                      lambda d: d.update(input_shape=7))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_mistyped_layer_field_is_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    write_with_config(path, init_model(small_config(), Rng(17)),
+                      lambda d: d["pre"][0].update(size="3"))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
