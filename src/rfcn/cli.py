@@ -19,8 +19,9 @@ from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
 from .model import (ArchitectureConfig, PRESET_NAMES,
                     forward_stream, init_model, load_checkpoint, load_matching,
                     preset, save_checkpoint, shape_check)
-from .tensor import Rng, sigmoid
-from .training import TrainConfig, evaluate, predict, train
+from .tensor import Rng
+from .training import (TrainConfig, binary_target, evaluate, logits_to_mask,
+                       predict, train)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -133,8 +134,8 @@ def cmd_eval(args):
     if not samples:
         raise DataError(f"no {args.split!r} samples in {args.data}")
     if args.oracle:
-        pairs = [((np.asarray(s.target) > 0).astype(np.int64),
-                  (np.asarray(s.target) > 0).astype(np.int64)) for s in samples]
+        pairs = [(binary_target(s.target), binary_target(s.target))
+                 for s in samples]
         report = metrics_mod.evaluate_masks(pairs, per_frame=args.per_frame)
     else:
         report = evaluate(model, samples, threshold=args.threshold,
@@ -163,7 +164,7 @@ def cmd_predict(args):
     os.makedirs(args.out, exist_ok=True)
     if args.stream:
         for t, logits in forward_stream(model, frames):
-            mask = _logits_to_mask(model, logits, args.threshold)
+            mask = logits_to_mask(model, logits, args.threshold)
             data_mod.write_pgm(os.path.join(args.out, f"mask_{t:04d}.pgm"),
                                mask.astype(np.uint8))
     else:
@@ -173,12 +174,6 @@ def cmd_predict(args):
                                mask.astype(np.uint8))
     print(f"wrote {len(frames) - T + 1} masks to {args.out}")
     return EXIT_OK
-
-
-def _logits_to_mask(model, logits, threshold):
-    if model.config.num_classes == 1:
-        return (sigmoid(logits[0]) > threshold).astype(np.int64)
-    return np.argmax(logits, axis=0).astype(np.int64)
 
 
 def cmd_gradcheck(args):

@@ -14,7 +14,7 @@ from .layers import (ConvKernel, conv2d_backward, conv2d_forward,
                      deconv2d_backward, deconv2d_forward, dense_backward,
                      dense_forward, maxpool2d_backward, maxpool2d_forward,
                      relu_backward, relu_forward)
-from .model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
+from .model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
                     backward_window, forward_window, init_model)
 from .tensor import Rng
 
@@ -266,6 +266,30 @@ def tiny_lstm_config():
     )
 
 
+def tiny_skip_config():
+    """A conv-GRU net with a skip link. The post chain halves the map with a
+    strided conv, scores it with a 1x1 conv and upsamples it; the link adds
+    a scored copy of the strided conv's output to the 1x1 score. No pool
+    follows the cell: `_kink_clearance` ignores tied zeros at a pool because
+    it assumes a relu before the pool has cut their gradient, and the cell's
+    output reaches the post chain without one."""
+    return ArchitectureConfig(
+        name="tiny-skip-net", input_shape=(1, 8, 8), num_classes=2, window=3,
+        pre=[
+            LayerSpec("conv", size=3, pad=1, depth=3),
+            LayerSpec("relu"),
+        ],
+        recurrent=RecurrentSpec("conv_gru", hidden=3, kernel=3),
+        post=[
+            LayerSpec("conv", size=3, stride=2, pad=1, depth=4),
+            LayerSpec("relu"),
+            LayerSpec("conv1x1", depth=2),
+            LayerSpec("deconv", size=2, stride=2, depth=2),
+        ],
+        skip_links=[SkipLink(source=0, target=2)],
+    )
+
+
 def _kink_clearance(model, frames):
     """Smallest distance of any relu input (or contested max-pool margin) from
     a nondifferentiable point during one window forward pass.
@@ -342,7 +366,8 @@ def run_audit(seed=0, tol=1e-4):
                         ("cell", audit_cells(rng)),
                         ("net.lenet", audit_model(tiny_lenet_config(), rng)),
                         ("net.convgru", audit_model(tiny_convgru_config(), rng)),
-                        ("net.lstm", audit_model(tiny_lstm_config(), rng))):
+                        ("net.lstm", audit_model(tiny_lstm_config(), rng)),
+                        ("net.skip", audit_model(tiny_skip_config(), rng))):
         for k, v in res.items():
             report[f"{prefix}.{k}"] = v
     ok = all(v <= tol for v in report.values())

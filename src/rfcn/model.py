@@ -4,7 +4,10 @@ checkpoint serialization.
 An architecture is a pre-recurrent layer chain applied to every frame, at
 most one recurrent node, and a post-recurrent chain applied to the final
 hidden state only. Skip links route an early post-chain feature map through
-a 1x1 score conv and add it to a later layer's output.
+a 1x1 score conv and add it to a later layer's output. Both chains and the
+score convs run through one forward and one backward walker. Layer functions
+are called through this module's attributes, which profilers and the
+gradient audit's kink probe rebind.
 """
 
 import io
@@ -244,47 +247,51 @@ class ShapeReport:
     param_shapes: OrderedDict  # canonical name -> shape
 
 
+def _chain_shapes(section, specs, shape, param_shapes):
+    """Shape-check the pre or post chain from `shape`, recording its parameter
+    shapes; returns the output shape and the shape after each layer."""
+    shapes = []
+    for i, spec in enumerate(specs):
+        shape, pshapes = _layer_output_shape(spec, shape)
+        for suffix, ps in pshapes.items():
+            param_shapes[f"{section}.{i}.{spec.kind}.{suffix}"] = ps
+        shapes.append(shape)
+    return shape, shapes
+
+
 def shape_check(config):
     """Walk the config, validating every layer and collecting parameter shapes.
 
-    Raises ConfigError on any inconsistency, including logits whose spatial
-    dims differ from the input or whose channel count differs from
-    num_classes.
+    Raises ConfigError on any inconsistency, including a window that is not
+    a positive integer, and logits whose spatial dims differ from the input
+    or whose channel count differs from num_classes.
     """
-    shape = ("chw", config.input_shape)
+    window = config.window
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ConfigError(f"window must be a positive integer, got {window!r}")
     param_shapes = OrderedDict()
-    pre_shapes = []
-    for i, spec in enumerate(config.pre):
-        shape, pshapes = _layer_output_shape(spec, shape)
-        for suffix, ps in pshapes.items():
-            param_shapes[f"pre.{i}.{spec.kind}.{suffix}"] = ps
-        pre_shapes.append(shape)
+    shape, pre_shapes = _chain_shapes("pre", config.pre, ("chw", config.input_shape),
+                                      param_shapes)
     rec_in = shape
     if config.recurrent is not None:
         shape, cshapes = _cell_param_shapes(config.recurrent, shape)
         for suffix, ps in cshapes.items():
             param_shapes[f"cell.{suffix}"] = ps
     rec_out = shape
-    post_shapes = []
-    for i, spec in enumerate(config.post):
-        shape, pshapes = _layer_output_shape(spec, shape)
-        for suffix, ps in pshapes.items():
-            param_shapes[f"post.{i}.{spec.kind}.{suffix}"] = ps
-        post_shapes.append(shape)
+    shape, post_shapes = _chain_shapes("post", config.post, shape, param_shapes)
     for j, link in enumerate(config.skip_links):
         if not (0 <= link.source < len(config.post)) or not (0 <= link.target < len(config.post)):
             raise ConfigError(f"skip link {j} indexes outside the post chain")
         if link.source >= link.target:
             raise ConfigError(f"skip link {j} must go forward")
-        skind, sdims = post_shapes[link.source]
-        tkind, tdims = post_shapes[link.target]
-        if skind != "chw" or tkind != "chw":
-            raise ConfigError(f"skip link {j} endpoints must be spatial maps")
-        if sdims[1:] != tdims[1:]:
-            raise ConfigError(
-                f"skip link {j} spatial dims {sdims[1:]} != {tdims[1:]} at merge")
-        param_shapes[f"skip.{j}.score.weights"] = (tdims[0], sdims[0], 1, 1)
-        param_shapes[f"skip.{j}.score.bias"] = (tdims[0],)
+        # the score conv maps the source to the target's shape
+        target = post_shapes[link.target]
+        scored, pshapes = _layer_output_shape(
+            LayerSpec("conv1x1", depth=target[1][0]), post_shapes[link.source])
+        if scored != target:
+            raise ConfigError(f"skip link {j} scores to {scored}, not the target's {target}")
+        for suffix, ps in pshapes.items():
+            param_shapes[f"skip.{j}.score.{suffix}"] = ps
     kind, dims = shape
     if kind != "chw":
         raise ConfigError(f"network output must be a spatial map, got {shape}")
@@ -359,7 +366,7 @@ def init_model(config, rng, dtype=np.float32):
     report = shape_check(config)
     params = OrderedDict()
     for name, shape in report.param_shapes.items():
-        kind = name.split(".")[-2] if "." in name else name
+        kind = name.split(".")[-2]
         leaf = name.split(".")[-1]
         if name.startswith("cell."):
             params[name] = _cell_init(name.split(".", 1)[1], shape, rng, dtype)
@@ -384,64 +391,91 @@ def zero_grads(model):
 # Layer execution
 
 
+def _kernel(spec, params, prefix):
+    return ConvKernel(params[f"{prefix}.weights"], params[f"{prefix}.bias"],
+                      spec.effective_stride(), spec.pad)
+
+
 def _layer_forward(spec, params, prefix, x):
     kind = spec.kind
-    if kind in ("conv", "conv1x1"):
-        k = ConvKernel(params[f"{prefix}.weights"], params[f"{prefix}.bias"],
-                       spec.effective_stride(), spec.pad)
-        return conv2d_forward(x, k)
-    if kind == "deconv":
-        k = ConvKernel(params[f"{prefix}.weights"], params[f"{prefix}.bias"],
-                       spec.effective_stride(), spec.pad)
-        return deconv2d_forward(x, k)
+    if kind in ("conv", "conv1x1", "deconv"):
+        forward = deconv2d_forward if kind == "deconv" else conv2d_forward
+        return forward(x, _kernel(spec, params, prefix))
     if kind == "pool":
         return maxpool2d_forward(x, spec.size, spec.effective_stride())
     if kind == "relu":
         return relu_forward(x)
     if kind == "flatten":
-        return flatten(x), ("flatten", x.shape)
+        return flatten(x), x.shape
     if kind == "unflatten":
-        return unflatten(x, (1,) + spec.target_shape), ("unflatten", x.shape)
+        return unflatten(x, (1,) + spec.target_shape), x.shape
     if kind == "dense":
         return dense_forward(x, params[f"{prefix}.weights"], params[f"{prefix}.bias"])
     raise ConfigError(f"unknown layer kind {kind!r}")
 
 
-def _layer_backward(spec, params, prefix, grad, cache):
-    """Returns (grad_x, {suffix: grad}) for one layer."""
+def _layer_backward(spec, params, prefix, grad, cache, grads):
+    """Returns the gradient at one layer's input and adds its weight
+    gradients into grads. Only kinds `_layer_forward` accepted reach here."""
     kind = spec.kind
-    if kind in ("conv", "conv1x1"):
-        k = ConvKernel(params[f"{prefix}.weights"], params[f"{prefix}.bias"],
-                       spec.effective_stride(), spec.pad)
-        gx, gw, gb = conv2d_backward(grad, cache, k)
-        return gx, {f"{prefix}.weights": gw, f"{prefix}.bias": gb}
-    if kind == "deconv":
-        k = ConvKernel(params[f"{prefix}.weights"], params[f"{prefix}.bias"],
-                       spec.effective_stride(), spec.pad)
-        gx, gw, gb = deconv2d_backward(grad, cache, k)
-        return gx, {f"{prefix}.weights": gw, f"{prefix}.bias": gb}
     if kind == "pool":
-        return maxpool2d_backward(grad, cache), {}
+        return maxpool2d_backward(grad, cache)
     if kind == "relu":
-        return relu_backward(grad, cache), {}
-    if kind == "flatten":
-        return grad.reshape(cache[1]), {}
-    if kind == "unflatten":
-        return grad.reshape(cache[1]), {}
+        return relu_backward(grad, cache)
+    if kind in ("flatten", "unflatten"):
+        return grad.reshape(cache)
     if kind == "dense":
         gx, gw, gb = dense_backward(grad, cache, params[f"{prefix}.weights"])
-        return gx, {f"{prefix}.weights": gw, f"{prefix}.bias": gb}
-    raise ConfigError(f"unknown layer kind {kind!r}")
+    else:
+        backward = deconv2d_backward if kind == "deconv" else conv2d_backward
+        gx, gw, gb = backward(grad, cache, _kernel(spec, params, prefix))
+    grads[f"{prefix}.weights"] += gw
+    grads[f"{prefix}.bias"] += gb
+    return gx
 
 
-def _run_chain(specs, params, section, x):
-    caches = []
-    outputs = []
+def _skips_into(model, section, i):
+    """(link index, link) for each skip link that merges into layer i of the
+    chain; only the post chain has them."""
+    links = model.config.skip_links if section == "post" else []
+    return [(j, link) for j, link in enumerate(links) if link.target == i]
+
+
+def _chain_forward(model, section, x, skip_caches=None):
+    """Run the pre or post chain on x; returns (output, per-layer caches).
+    Each skip link's score-conv cache goes into skip_caches by link index."""
+    specs = getattr(model.config, section)
+    caches, outputs = [], []
     for i, spec in enumerate(specs):
-        x, cache = _layer_forward(spec, params, f"{section}.{i}.{spec.kind}", x)
+        x, cache = _layer_forward(spec, model.params, f"{section}.{i}.{spec.kind}", x)
+        for j, link in _skips_into(model, section, i):
+            scored, skip_caches[j] = _layer_forward(
+                LayerSpec("conv1x1"), model.params, f"skip.{j}.score",
+                outputs[link.source])
+            x = x + scored
         caches.append(cache)
         outputs.append(x)
-    return x, caches, outputs
+    return x, caches
+
+
+def _chain_backward(model, section, g, caches, grads, skip_caches=None):
+    """Backward through the pre or post chain from the gradient g at its
+    output; returns the gradient at its input."""
+    specs = getattr(model.config, section)
+    pending = {}  # skip source layer -> summed gradient at its output
+    for i in range(len(specs) - 1, -1, -1):
+        if i in pending:
+            g = pending.pop(i) + g
+        for j, link in _skips_into(model, section, i):
+            gsrc = _layer_backward(LayerSpec("conv1x1"), model.params,
+                                   f"skip.{j}.score", g, skip_caches[j], grads)
+            if link.source in pending:
+                gsrc = pending[link.source] + gsrc
+            pending[link.source] = gsrc
+        spec = specs[i]
+        g = _layer_backward(spec, model.params, f"{section}.{i}.{spec.kind}",
+                            g, caches[i], grads)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +487,7 @@ class WindowCache:
     pre: list          # per frame: list of layer caches (fc: last frame only)
     cell: list         # per step cell caches
     post: list
-    post_outputs: list
-    skip: dict         # link index -> (scored_cache,)
-    frames_used: int
+    skip: dict         # link index -> score-conv cache
 
 
 def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None):
@@ -469,7 +501,7 @@ def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None):
         frames = frames[-1:]
     feats = []
     for f in frames:
-        x, caches, _ = _run_chain(cfg.pre, model.params, "pre", f[None])
+        x, caches = _chain_forward(model, "pre", f[None])
         feats.append(x)
         if pre_caches is not None:
             pre_caches.append(caches)
@@ -497,102 +529,20 @@ def forward_window(model, frames):
     for t, f in enumerate(frames):
         if f.shape != cfg.input_shape:
             raise ShapeError(f"frame {t} shape {f.shape} != input {cfg.input_shape}")
-    pre_caches, cell_caches = [], []
+    pre_caches, cell_caches, skip_caches = [], [], {}
     node_out, _ = _run_frames(model, frames, None, pre_caches, cell_caches)
-    logits, post_caches, post_outputs, skip_caches = _post_forward(model, node_out)
+    # shape_check guarantees a (1, C, H, W) post-chain output
+    x, post_caches = _chain_forward(model, "post", node_out, skip_caches)
     cache = WindowCache(pre=pre_caches, cell=cell_caches, post=post_caches,
-                        post_outputs=post_outputs, skip=skip_caches,
-                        frames_used=len(frames))
-    return logits, cache
-
-
-def _post_forward(model, node_out):
-    cfg = model.config
-    params = model.params
-    x = node_out
-    caches = []
-    outputs = []
-    skip_caches = {}
-    by_target = {}
-    for j, link in enumerate(cfg.skip_links):
-        by_target.setdefault(link.target, []).append(j)
-    for i, spec in enumerate(cfg.post):
-        x, cache = _layer_forward(spec, params, f"post.{i}.{spec.kind}", x)
-        for j in by_target.get(i, ()):
-            link = cfg.skip_links[j]
-            k = ConvKernel(params[f"skip.{j}.score.weights"],
-                           params[f"skip.{j}.score.bias"], 1, 0)
-            scored, sc_cache = conv2d_forward(outputs[link.source], k)
-            x = x + scored
-            skip_caches[j] = sc_cache
-        caches.append(cache)
-        outputs.append(x)
-    logits = x[0] if x.ndim == 4 else x
-    check_finite(logits, "forward_window")
-    return logits, caches, outputs, skip_caches
-
-
-def _post_backward(model, grad_logits, cache, grads):
-    """Backward through the post chain and skip links; returns grad at the
-    recurrent node output."""
-    cfg = model.config
-    params = model.params
-    n_post = len(cfg.post)
-    g = grad_logits[None] if len(cache.post_outputs) == 0 or \
-        cache.post_outputs[-1].ndim == 4 else grad_logits
-    if n_post == 0:
-        return grad_logits[None]
-    pending = [None] * n_post
-    pending[-1] = g
-    by_target = {}
-    for j, link in enumerate(cfg.skip_links):
-        by_target.setdefault(link.target, []).append(j)
-    grad_node = None
-    for i in range(n_post - 1, -1, -1):
-        gi = pending[i]
-        if gi is None:
-            continue
-        for j in by_target.get(i, ()):
-            link = cfg.skip_links[j]
-            k = ConvKernel(params[f"skip.{j}.score.weights"],
-                           params[f"skip.{j}.score.bias"], 1, 0)
-            gsrc, gw, gb = conv2d_backward(gi, cache.skip[j], k)
-            grads[f"skip.{j}.score.weights"] += gw
-            grads[f"skip.{j}.score.bias"] += gb
-            if pending[link.source] is None:
-                pending[link.source] = gsrc
-            else:
-                pending[link.source] = pending[link.source] + gsrc
-        spec = cfg.post[i]
-        gx, pgrads = _layer_backward(spec, params, f"post.{i}.{spec.kind}",
-                                     gi, cache.post[i])
-        for name, gval in pgrads.items():
-            grads[name] += gval
-        if i == 0:
-            grad_node = gx
-        elif pending[i - 1] is None:
-            pending[i - 1] = gx
-        else:
-            pending[i - 1] = pending[i - 1] + gx
-    return grad_node
-
-
-def _pre_backward(model, grad_feat, pre_caches, grads):
-    cfg = model.config
-    g = grad_feat
-    for i in range(len(cfg.pre) - 1, -1, -1):
-        spec = cfg.pre[i]
-        g, pgrads = _layer_backward(spec, model.params, f"pre.{i}.{spec.kind}",
-                                    g, pre_caches[i])
-        for name, gval in pgrads.items():
-            grads[name] += gval
-    return g
+                        skip=skip_caches)
+    return check_finite(x[0], "forward_window"), cache
 
 
 def backward_window(model, grad_logits, cache):
     """BPTT over one window; returns a dict of gradients for every parameter."""
     grads = zero_grads(model)
-    grad_node = _post_backward(model, grad_logits, cache, grads)
+    grad_node = _chain_backward(model, "post", grad_logits[None], cache.post,
+                                grads, cache.skip)
     feat_grads = [grad_node]  # without a cell, the node is the last frame's features
     rec = model.config.recurrent
     if rec is not None:
@@ -607,7 +557,7 @@ def backward_window(model, grad_logits, cache):
                 grads[f"cell.{name}"] += gval
             feat_grads.insert(0, gx[None] if spatial else gx)
     for g, pre_caches in zip(feat_grads, cache.pre):
-        _pre_backward(model, g, pre_caches, grads)
+        _chain_backward(model, "pre", g, pre_caches, grads)
     return grads
 
 
@@ -625,7 +575,8 @@ def forward_stream(model, frames, emit_from=None):
         # each call runs the frames not yet seen: 0..start first, then one
         node_out, state = _run_frames(model, frames[seen:t + 1], state)
         seen = t + 1
-        out.append((t, _post_forward(model, node_out)[0]))
+        x, _ = _chain_forward(model, "post", node_out, {})
+        out.append((t, check_finite(x[0], "forward_window")))
     return out
 
 

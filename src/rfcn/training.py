@@ -185,17 +185,23 @@ def _loss_fn(cfg):
     return multiclass_cross_entropy
 
 
-def _binary_target(target):
+def binary_target(target):
+    """The binary mask of a target: 1 wherever its label is positive."""
     return (np.asarray(target) > 0).astype(np.int64)
 
 
-def predict(model, frames, threshold=0.5):
-    """Segment the last frame of a window: sigmoid-threshold for binary
-    models, per-pixel argmax for multiclass."""
-    logits, _ = forward_window(model, frames)
+def logits_to_mask(model, logits, threshold=0.5):
+    """Turn (C,H,W) logits into a mask: sigmoid-threshold for binary models,
+    per-pixel argmax for multiclass."""
     if model.config.num_classes == 1:
         return (sigmoid(logits[0]) > threshold).astype(np.int64)
     return np.argmax(logits, axis=0).astype(np.int64)
+
+
+def predict(model, frames, threshold=0.5):
+    """Segment the last frame of a window."""
+    logits, _ = forward_window(model, frames)
+    return logits_to_mask(model, logits, threshold)
 
 
 def evaluate(model, samples, threshold=0.5, per_frame=False):
@@ -203,13 +209,12 @@ def evaluate(model, samples, threshold=0.5, per_frame=False):
     pairs = []
     for s in samples:
         pred = predict(model, s.frames, threshold)
-        pairs.append((pred, _binary_target(s.target)))
+        pairs.append((pred, binary_target(s.target)))
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 
 
 def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step, loss_fn):
     total = 0.0
-    n_batches = 0
     bs = max(cfg.batch_size, 1)
     for start in range(0, len(order), bs):
         batch = order[start:start + bs]
@@ -217,7 +222,7 @@ def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step, loss_fn)
         for idx in batch:
             s = samples[idx]
             target = s.target if cfg.loss == "multiclass-cross-entropy" \
-                else _binary_target(s.target)
+                else binary_target(s.target)
             logits, cache = forward_window(model, s.frames)
             loss, grad_logits = loss_fn(logits, target)
             if not np.isfinite(loss):
@@ -235,7 +240,6 @@ def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step, loss_fn)
         for k in frozen:
             grads.pop(k, None)
         opt_step(model.params, grads, opt_state)
-        n_batches += 1
     return total / max(len(order), 1)
 
 

@@ -29,8 +29,9 @@ from rfcn.layers import ConvKernel, conv2d_forward, deconv2d_forward, deconv_out
 
 
 def test_acceptance_1_gradient_audit():
-    """Every layer kind, every cell, and three full windowed networks audit
-    against central differences (step 1e-5, f64) within 1e-4, in < 5 min."""
+    """Every layer kind, every cell, and four full windowed networks (one
+    with a skip link) audit against central differences (step 1e-5, f64)
+    within 1e-4, in < 5 min."""
     t0 = time.monotonic()
     report, ok = gradcheck.run_audit(seed=0, tol=1e-4)
     elapsed = time.monotonic() - t0

@@ -126,6 +126,10 @@ def test_usage_errors_exit_2(tmp_path, dataset):
     # eval with neither a checkpoint nor the oracle
     rc = main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
     assert rc == 2
+    # a window that is not a positive integer
+    rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
+               "--window", "-1", "--out", str(tmp_path / "x.ckpt")])
+    assert rc == 2
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -136,14 +140,21 @@ def test_runtime_errors_exit_1(tmp_path):
 
 
 def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
-    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
-    m = init_model(cfg, Rng(3))
-    m.config.recurrent.kind = "rnn"  # no such cell kind
-    ckpt = str(tmp_path / "bad.ckpt")
-    save_checkpoint(m, ckpt)
-    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
-               "--report", str(tmp_path / "r.json")])
-    assert rc == 1
+    def unknown_cell(cfg):
+        cfg.recurrent.kind = "rnn"
+
+    def string_window(cfg):
+        cfg.window = "3"
+
+    for corrupt in (unknown_cell, string_window):
+        cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+        m = init_model(cfg, Rng(3))
+        corrupt(m.config)
+        ckpt = str(tmp_path / "bad.ckpt")
+        save_checkpoint(m, ckpt)
+        rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+                   "--report", str(tmp_path / "r.json")])
+        assert rc == 1, corrupt.__name__
 
 
 def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):

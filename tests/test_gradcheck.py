@@ -4,7 +4,7 @@ import numpy as np
 
 from rfcn.gradcheck import (DENOM_FLOOR, _kink_clearance, fd_check, rel_err,
                             tiny_convgru_config, tiny_lenet_config,
-                            tiny_lstm_config)
+                            tiny_lstm_config, tiny_skip_config)
 from rfcn.model import init_model, shape_check
 from rfcn.tensor import Rng
 
@@ -55,7 +55,8 @@ def test_fd_check_restores_probed_values():
 
 
 def test_tiny_audit_configs_are_valid():
-    for cfg in (tiny_lenet_config(), tiny_convgru_config(), tiny_lstm_config()):
+    for cfg in (tiny_lenet_config(), tiny_convgru_config(), tiny_lstm_config(),
+                tiny_skip_config()):
         report = shape_check(cfg)
         assert report.output_shape[0] == cfg.num_classes
 

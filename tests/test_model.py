@@ -111,7 +111,7 @@ def test_forward_window_logits_shape_and_window_use():
     frames = [rng.uniform(0, 1, (1, 8, 8)).astype(np.float32) for _ in range(3)]
     logits, cache = forward_window(m, frames)
     assert logits.shape == (1, 8, 8)
-    assert cache.frames_used == 3
+    assert len(cache.pre) == 3
     assert len(cache.cell) == 3
     # earlier frames influence the output through the hidden state
     frames2 = [rng.uniform(0, 1, (1, 8, 8)).astype(np.float32),
@@ -178,6 +178,39 @@ def test_skip_link_contributes_to_output():
         m.params["skip.0.score.weights"] + np.float32(0.1)
     logits2, _ = forward_window(m, frames)
     assert np.abs(logits - logits2).max() > 0
+
+
+def test_layer_calls_go_through_model_attributes(monkeypatch):
+    """perfbench's tracer and gradcheck's kink probe rebind the layer
+    functions on rfcn.model; every layer the executor runs must reach them.
+    rfcn-8s-sketch over a window of 3: conv = 3 pre convs x 3 frames + 3 post
+    convs + 1 skip score; deconv 2; pool = 2 x 3 + 2; relu = 3 x 3 + 2. The
+    cell's convs go through rfcn.cells and are not counted here."""
+    import rfcn.model as model_mod
+    counts = {}
+
+    def counted(name):
+        real = getattr(model_mod, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    expected = {"conv2d": 13, "deconv2d": 2, "maxpool2d": 8, "relu": 11}
+    for kind in expected:
+        for half in ("forward", "backward"):
+            name = f"{kind}_{half}"
+            monkeypatch.setattr(model_mod, name, counted(name))
+    cfg = preset("rfcn-8s-sketch")
+    m = init_model(cfg, Rng(18))
+    rng = Rng(19)
+    frames = [rng.uniform(0, 1, cfg.input_shape).astype(np.float32)
+              for _ in range(cfg.window)]
+    logits, cache = forward_window(m, frames)
+    backward_window(m, np.ones_like(logits), cache)
+    assert counts == {f"{kind}_{half}": n for kind, n in expected.items()
+                      for half in ("forward", "backward")}
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -255,6 +288,14 @@ def test_checkpoint_mistyped_layer_field_is_checkpoint_error(tmp_path):
     path = str(tmp_path / "m.ckpt")
     write_with_config(path, init_model(small_config(), Rng(17)),
                       lambda d: d["pre"][0].update(size="3"))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_non_int_window_is_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    write_with_config(path, init_model(small_config(), Rng(20)),
+                      lambda d: d.update(window="3"))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
