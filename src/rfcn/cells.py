@@ -4,19 +4,21 @@ Each cell exposes a pure step function over (input, state) plus an exact
 backward for one unrolled step; the caller chains the backwards over a
 window for BPTT and accumulates parameter gradients across steps. CELLS
 describes each kind to the executor in one shape, so model.py never asks
-which kind it runs.
+which kind it runs, and draws any kind's random weights.
 
-Gate equations (sigma gates, tanh candidate unless configured otherwise):
+GRU gate equations:
     z = sigma(W_hz h + W_xz x + b_z)
     r = sigma(W_hr h + W_xr x + b_r)
     hcand = tanh(W_h (r*h) + W_x x + b)
     h' = (1 - z)*h + z*hcand
 The convolutional variant replaces every matrix product with a stride-1
-"same"-padded convolution, so hidden maps keep their spatial dims.
+"same"-padded convolution, so hidden maps keep their spatial dims. One GRU
+step body and one backward body serve both: they take the linear map as an
+argument. The LSTM's candidate is a sigmoid or, if configured, a tanh.
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,43 +40,13 @@ class RecurrentCellState:
     c: np.ndarray = None  # LSTM only
 
 
-def _params_dict(p):
-    return {f.name: getattr(p, f.name) for f in fields(p)}
-
-
 @dataclass
-class DenseGruParams:
-    w_hz: np.ndarray
-    w_xz: np.ndarray
-    b_z: np.ndarray
-    w_hr: np.ndarray
-    w_xr: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    w_x: np.ndarray
-    b: np.ndarray
+class GruParams:
+    """The nine GRU weights, for the dense and the convolutional cell.
 
-    @classmethod
-    def init(cls, hidden, input_dim, rng, dtype=np.float32):
-        def wh():
-            return fill_random((hidden, hidden), rng, "scaled-fan-in", dtype=dtype)
-
-        def wx():
-            return fill_random((hidden, input_dim), rng, "scaled-fan-in", dtype=dtype)
-
-        z = lambda: np.zeros(hidden, dtype=dtype)
-        return cls(wh(), wx(), z(), wh(), wx(), z(), wh(), wx(), z())
-
-    def as_dict(self):
-        return _params_dict(self)
-
-
-@dataclass
-class ConvGruParams:
-    """Same nine parameter roles as DenseGruParams with conv kernels.
-
-    Hidden-path weights are (f, f, k, k); input-path weights are (f, c_in, k, k).
-    Kernels are odd-sized, stride 1, "same"-padded.
+    Dense: (hidden, hidden) hidden-path and (hidden, input) input-path
+    matrices. Conv: (f, f, k, k) hidden-path and (f, c_in, k, k) input-path
+    kernels, odd-sized, stride 1, "same"-padded. Biases are (hidden,).
     """
 
     w_hz: np.ndarray
@@ -86,25 +58,6 @@ class ConvGruParams:
     w_h: np.ndarray
     w_x: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def init(cls, hidden_channels, input_channels, kernel, rng, dtype=np.float32):
-        if kernel % 2 != 1:
-            raise ShapeError(f"conv-GRU kernel must be odd for same padding, got {kernel}")
-
-        def wh():
-            return fill_random((hidden_channels, hidden_channels, kernel, kernel),
-                               rng, "scaled-fan-in", dtype=dtype)
-
-        def wx():
-            return fill_random((hidden_channels, input_channels, kernel, kernel),
-                               rng, "scaled-fan-in", dtype=dtype)
-
-        z = lambda: np.zeros(hidden_channels, dtype=dtype)
-        return cls(wh(), wx(), z(), wh(), wx(), z(), wh(), wx(), z())
-
-    def as_dict(self):
-        return _params_dict(self)
 
 
 @dataclass
@@ -123,85 +76,20 @@ class LstmParams:
     b_c: np.ndarray
     candidate_activation: str = "sigmoid"
 
-    @classmethod
-    def init(cls, hidden, input_dim, rng, dtype=np.float32,
-             candidate_activation="sigmoid"):
-        def wh():
-            return fill_random((hidden, hidden), rng, "scaled-fan-in", dtype=dtype)
-
-        def wx():
-            return fill_random((hidden, input_dim), rng, "scaled-fan-in", dtype=dtype)
-
-        z = lambda: np.zeros(hidden, dtype=dtype)
-        return cls(wx(), wh(), z(), wx(), wh(), z(), wx(), wh(), z(), wx(), wh(), z(),
-                   candidate_activation=candidate_activation)
-
-    def as_dict(self):
-        d = _params_dict(self)
-        d.pop("candidate_activation")
-        return d
-
-
-
 
 # ---------------------------------------------------------------------------
-# Dense GRU
+# GRU: one body for the dense and the convolutional cell. The linear map is
+# an argument: lin(v, w) -> (w v, cache) and lin_backward(g, cache, w) ->
+# (w^T g, dL/dw). The dense cell passes a matrix-vector product, the conv
+# cell a stride-1 "same"-padded convolution.
 
 
-def gru_step(x, state, p):
-    """One dense GRU step; returns (new state, cache for the backward)."""
-    h = state.h
-    if h.shape[0] != p.w_h.shape[0] or x.shape[0] != p.w_x.shape[1]:
-        raise ShapeError(f"GRU dims mismatch: h {h.shape}, x {x.shape}")
-    z = sigmoid(p.w_hz @ h + p.w_xz @ x + p.b_z)
-    r = sigmoid(p.w_hr @ h + p.w_xr @ x + p.b_r)
-    rh = r * h
-    hcand = np.tanh(p.w_h @ rh + p.w_x @ x + p.b)
-    h_new = (1 - z) * h + z * hcand
-    cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "hcand": hcand}
-    return RecurrentCellState(h_new), cache
+def _matvec(v, w):
+    return w @ v, v
 
 
-def gru_backward(grad_h_new, cache, p):
-    """Backward through one dense GRU step.
-
-    Returns (grad_x, grad_h_prev, grads dict keyed like the params).
-    """
-    x, h, z, r, rh, hcand = (cache[k] for k in ("x", "h", "z", "r", "rh", "hcand"))
-    g = grad_h_new
-    d_hcand = g * z
-    d_z = g * (hcand - h)
-    grad_h = g * (1 - z)
-
-    d_a = d_hcand * (1 - hcand * hcand)
-    grad = {
-        "w_h": np.outer(d_a, rh),
-        "w_x": np.outer(d_a, x),
-        "b": d_a.copy(),
-    }
-    d_rh = p.w_h.T @ d_a
-    grad_x = p.w_x.T @ d_a
-    d_r = d_rh * h
-    grad_h = grad_h + d_rh * r
-
-    d_az = d_z * z * (1 - z)
-    grad["w_hz"] = np.outer(d_az, h)
-    grad["w_xz"] = np.outer(d_az, x)
-    grad["b_z"] = d_az.copy()
-    grad_h = grad_h + p.w_hz.T @ d_az
-    grad_x = grad_x + p.w_xz.T @ d_az
-
-    d_ar = d_r * r * (1 - r)
-    grad["w_hr"] = np.outer(d_ar, h)
-    grad["w_xr"] = np.outer(d_ar, x)
-    grad["b_r"] = d_ar.copy()
-    grad_h = grad_h + p.w_hr.T @ d_ar
-    grad_x = grad_x + p.w_xr.T @ d_ar
-    return grad_x, grad_h, grad
-
-
-# ---------------------------------------------------------------------------
-# Convolutional GRU
+def _matvec_backward(g, v, w):
+    return w.T @ g, np.outer(g, v)
 
 
 def _conv_same(x_chw, w):
@@ -217,66 +105,70 @@ def _conv_same_backward(g_chw, cache, w):
     return gx[0], gw
 
 
-def conv_gru_step(x, state, p):
-    """One Conv-GRU step on a CHW input with a CHW hidden map."""
+def _bias_grad(d):
+    return d.copy() if d.ndim == 1 else d.sum(axis=(1, 2))
+
+
+def _gru_step(x, state, p, lin):
     h = state.h
-    if x.shape[1:] != h.shape[1:]:
-        raise ShapeError(f"spatial dims differ: x {x.shape}, h {h.shape}")
-    if h.shape[0] != p.w_h.shape[0] or x.shape[0] != p.w_x.shape[1]:
-        raise ShapeError(f"channel dims mismatch: x {x.shape}, h {h.shape}")
-    bz = p.b_z.reshape(-1, 1, 1)
-    br = p.b_r.reshape(-1, 1, 1)
-    bh = p.b.reshape(-1, 1, 1)
-    hz, c_hz = _conv_same(h, p.w_hz)
-    xz, c_xz = _conv_same(x, p.w_xz)
-    z = sigmoid(hz + xz + bz)
-    hr, c_hr = _conv_same(h, p.w_hr)
-    xr, c_xr = _conv_same(x, p.w_xr)
-    r = sigmoid(hr + xr + br)
+    if (x.shape[1:] != h.shape[1:] or h.shape[0] != p.w_h.shape[0]
+            or x.shape[0] != p.w_x.shape[1]):
+        raise ShapeError(f"GRU dims mismatch: x {x.shape}, h {h.shape}")
+    lin_caches = {}
+
+    def affine(tag, v, w_v, w_x, b):
+        av, lin_caches["h" + tag] = lin(v, w_v)
+        ax, lin_caches["x" + tag] = lin(x, w_x)
+        return av + ax + b.reshape(-1, *(1,) * (h.ndim - 1))
+
+    z = sigmoid(affine("z", h, p.w_hz, p.w_xz, p.b_z))
+    r = sigmoid(affine("r", h, p.w_hr, p.w_xr, p.b_r))
     rh = r * h
-    hh, c_hh = _conv_same(rh, p.w_h)
-    xh, c_xh = _conv_same(x, p.w_x)
-    hcand = np.tanh(hh + xh + bh)
+    hcand = np.tanh(affine("h", rh, p.w_h, p.w_x, p.b))
     h_new = (1 - z) * h + z * hcand
-    cache = {"x": x, "h": h, "z": z, "r": r, "rh": rh, "hcand": hcand,
-             "conv": {"hz": c_hz, "xz": c_xz, "hr": c_hr, "xr": c_xr,
-                      "hh": c_hh, "xh": c_xh}}
+    cache = {"x": x, "h": h, "z": z, "r": r, "hcand": hcand, "lin": lin_caches}
     return RecurrentCellState(h_new), cache
 
 
-def conv_gru_backward(grad_h_new, cache, p):
-    x, h, z, r, rh, hcand = (cache[k] for k in ("x", "h", "z", "r", "rh", "hcand"))
-    cc = cache["conv"]
+def _gru_backward(grad_h_new, cache, p, lin_backward):
+    x, h, z, r, hcand, lc = (cache[k] for k in ("x", "h", "z", "r", "hcand", "lin"))
     g = grad_h_new
-    d_hcand = g * z
-    d_z = g * (hcand - h)
     grad_h = g * (1 - z)
-
-    d_a = d_hcand * (1 - hcand * hcand)
-    d_rh, gw_h = _conv_same_backward(d_a, cc["hh"], p.w_h)
-    gx, gw_x = _conv_same_backward(d_a, cc["xh"], p.w_x)
-    grad = {"w_h": gw_h, "w_x": gw_x, "b": d_a.sum(axis=(1, 2))}
-    d_r = d_rh * h
+    d_a = g * z * (1 - hcand * hcand)
+    d_rh, gw_h = lin_backward(d_a, lc["hh"], p.w_h)
+    grad_x, gw_x = lin_backward(d_a, lc["xh"], p.w_x)
+    grad = {"w_h": gw_h, "w_x": gw_x, "b": _bias_grad(d_a)}
     grad_h = grad_h + d_rh * r
+    for tag, d in (("z", g * (hcand - h) * z * (1 - z)),
+                   ("r", d_rh * h * r * (1 - r))):
+        gh, grad["w_h" + tag] = lin_backward(d, lc["h" + tag], getattr(p, "w_h" + tag))
+        gx, grad["w_x" + tag] = lin_backward(d, lc["x" + tag], getattr(p, "w_x" + tag))
+        grad["b_" + tag] = _bias_grad(d)
+        grad_h = grad_h + gh
+        grad_x = grad_x + gx
+    return grad_x, grad_h, grad
 
-    d_az = d_z * z * (1 - z)
-    gh, gw = _conv_same_backward(d_az, cc["hz"], p.w_hz)
-    grad["w_hz"] = gw
-    gxz, gw = _conv_same_backward(d_az, cc["xz"], p.w_xz)
-    grad["w_xz"] = gw
-    grad["b_z"] = d_az.sum(axis=(1, 2))
-    grad_h = grad_h + gh
-    gx = gx + gxz
 
-    d_ar = d_r * r * (1 - r)
-    gh, gw = _conv_same_backward(d_ar, cc["hr"], p.w_hr)
-    grad["w_hr"] = gw
-    gxr, gw = _conv_same_backward(d_ar, cc["xr"], p.w_xr)
-    grad["w_xr"] = gw
-    grad["b_r"] = d_ar.sum(axis=(1, 2))
-    grad_h = grad_h + gh
-    gx = gx + gxr
-    return gx, grad_h, grad
+def gru_step(x, state, p):
+    """One dense GRU step; returns (new state, cache for the backward)."""
+    return _gru_step(x, state, p, _matvec)
+
+
+def gru_backward(grad_h_new, cache, p):
+    """Backward through one dense GRU step.
+
+    Returns (grad_x, grad_h_prev, grads dict keyed like the params).
+    """
+    return _gru_backward(grad_h_new, cache, p, _matvec_backward)
+
+
+def conv_gru_step(x, state, p):
+    """One Conv-GRU step on a CHW input with a CHW hidden map."""
+    return _gru_step(x, state, p, _conv_same)
+
+
+def conv_gru_backward(grad_h_new, cache, p):
+    return _gru_backward(grad_h_new, cache, p, _conv_same_backward)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +228,6 @@ def lstm_backward(grad_h_new, grad_c_new, cache, p):
     return grad_x, grad_h, grad_c_prev, grad
 
 
-
-
 # ---------------------------------------------------------------------------
 # The cell table
 
@@ -373,19 +263,21 @@ class CellKind:
              else (h, h if n.startswith("w_h") else in_dims[0]) + tail)
             for n in self.weight_names)
 
+    def random_params(self, spec, in_dims, rng, dtype=np.float32):
+        """Zero biases and scaled-fan-in weights, drawn in weight_names order."""
+        return OrderedDict(
+            (n, np.zeros(shape, dtype=dtype) if n.startswith("b")
+             else fill_random(shape, rng, "scaled-fan-in", dtype=dtype))
+            for n, shape in self.param_shapes(spec, in_dims).items())
+
     def zero_state(self, shape, dtype):
         """The state at a window start, with hidden maps of the given shape."""
         c = np.zeros(shape, dtype=dtype) if self.carries_c else None
         return RecurrentCellState(np.zeros(shape, dtype=dtype), c=c)
 
 
-def _gru_backward(grad, cache, p):
-    gx, gh, grads = gru_backward(grad.h, cache, p)
-    return gx, RecurrentCellState(gh), grads
-
-
-def _conv_gru_backward(grad, cache, p):
-    gx, gh, grads = conv_gru_backward(grad.h, cache, p)
+def _gru_backward_state(grad, cache, p, backward):
+    gx, gh, grads = backward(grad.h, cache, p)
     return gx, RecurrentCellState(gh), grads
 
 
@@ -396,12 +288,14 @@ def _lstm_backward(grad, cache, p):
 
 CELLS = {
     "gru": CellKind("vec", GRU_WEIGHT_NAMES,
-                    lambda spec, w: DenseGruParams(**w),
-                    lambda x, state, p: gru_step(x, state, p), _gru_backward),
+                    lambda spec, w: GruParams(**w),
+                    lambda x, state, p: gru_step(x, state, p),
+                    lambda g, cache, p: _gru_backward_state(g, cache, p, gru_backward)),
     "conv_gru": CellKind("chw", GRU_WEIGHT_NAMES,
-                         lambda spec, w: ConvGruParams(**w),
+                         lambda spec, w: GruParams(**w),
                          lambda x, state, p: conv_gru_step(x, state, p),
-                         _conv_gru_backward),
+                         lambda g, cache, p: _gru_backward_state(
+                             g, cache, p, conv_gru_backward)),
     "lstm": CellKind("vec", LSTM_WEIGHT_NAMES,
                      lambda spec, w: LstmParams(
                          candidate_activation=spec.candidate_activation, **w),

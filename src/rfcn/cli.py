@@ -46,7 +46,7 @@ def _load_arch(spec, window=None):
                 cfg = ArchitectureConfig.from_json(f.read())
         except OSError as e:
             raise ConfigError(f"unknown preset and unreadable config file: {e}") from e
-    if window:
+    if window is not None:
         cfg.window = window
     shape_check(cfg)
     return cfg

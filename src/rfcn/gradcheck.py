@@ -152,10 +152,11 @@ def audit_layers(rng):
 # Cell audits (two-step unroll so grad_h_prev chains are exercised)
 
 
-def _unroll2(kind, x1, x2, state0, p, rng):
+def _unroll2(spec, weights, x1, x2, state0, rng):
     """Audit the cell table's step and backward for one kind, which run the
     module-level cell functions."""
-    cell = cells.CELLS[kind]
+    cell = cells.CELLS[spec.kind]
+    p = cell.bind(spec, weights)
     s1, _ = cell.step(x1, state0, p)
     s2, _ = cell.step(x2, s1, p)
     wout = _weighted_sum(s2.h.shape, rng)
@@ -172,36 +173,35 @@ def _unroll2(kind, x1, x2, state0, p, rng):
     grads = {k: g1[k] + g2[k] for k in g1}
     grads["x1"] = gx1
     grads["x2"] = gx2
-    arrays = dict(p.as_dict())
-    arrays["x1"] = x1
-    arrays["x2"] = x2
-    return fd_check(loss_fn, arrays, grads, rng)
+    return fd_check(loss_fn, dict(weights, x1=x1, x2=x2), grads, rng)
 
 
 def audit_gru(rng):
-    p = cells.DenseGruParams.init(5, 4, rng, dtype=np.float64)
+    spec = RecurrentSpec("gru", hidden=5)
+    w = cells.CELLS[spec.kind].random_params(spec, (4,), rng, np.float64)
     x1 = rng.uniform(-1, 1, 4)
     x2 = rng.uniform(-1, 1, 4)
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5))
-    return _unroll2("gru", x1, x2, s0, p, rng)
+    return _unroll2(spec, w, x1, x2, s0, rng)
 
 
 def audit_conv_gru(rng):
-    p = cells.ConvGruParams.init(3, 2, 3, rng, dtype=np.float64)
+    spec = RecurrentSpec("conv_gru", hidden=3, kernel=3)
+    w = cells.CELLS[spec.kind].random_params(spec, (2, 5, 5), rng, np.float64)
     x1 = rng.uniform(-1, 1, (2, 5, 5))
     x2 = rng.uniform(-1, 1, (2, 5, 5))
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, (3, 5, 5)))
-    return _unroll2("conv_gru", x1, x2, s0, p, rng)
+    return _unroll2(spec, w, x1, x2, s0, rng)
 
 
 def audit_lstm(rng, candidate_activation="sigmoid"):
-    p = cells.LstmParams.init(5, 4, rng, dtype=np.float64,
-                              candidate_activation=candidate_activation)
+    spec = RecurrentSpec("lstm", hidden=5, candidate_activation=candidate_activation)
+    w = cells.CELLS[spec.kind].random_params(spec, (4,), rng, np.float64)
     x1 = rng.uniform(-1, 1, 4)
     x2 = rng.uniform(-1, 1, 4)
     s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5),
                                   c=rng.uniform(-0.5, 0.5, 5))
-    return _unroll2("lstm", x1, x2, s0, p, rng)
+    return _unroll2(spec, w, x1, x2, s0, rng)
 
 
 def audit_cells(rng):
@@ -270,9 +270,9 @@ def tiny_skip_config():
     """A conv-GRU net with a skip link. The post chain halves the map with a
     strided conv, scores it with a 1x1 conv and upsamples it; the link adds
     a scored copy of the strided conv's output to the 1x1 score. No pool
-    follows the cell: `_kink_clearance` ignores tied zeros at a pool because
-    it assumes a relu before the pool has cut their gradient, and the cell's
-    output reaches the post chain without one."""
+    follows the cell: the freshly initialized cell passes the trunk relu's
+    exact zeros through, and `_kink_clearance` rejects every draw whose
+    pool windows tie at them."""
     return ArchitectureConfig(
         name="tiny-skip-net", input_shape=(1, 8, 8), num_classes=2, window=3,
         pre=[
@@ -297,16 +297,20 @@ def _kink_clearance(model, frames):
     Central differences are meaningless when a probe pushes an activation
     across a relu kink or flips a pool argmax, so audit draws are rejected
     when this clearance is within a few FD steps of zero. Tied zeros in a
-    pool window are ignored: relu has already cut the gradient there.
+    pool window are ignored only when the pool's input is a relu's output:
+    the relu has cut the gradient there. Any other tie counts.
     """
     from . import model as model_mod
     clearance = [np.inf]
+    relu_out = [None]
     real_relu = model_mod.relu_forward
     real_pool = model_mod.maxpool2d_forward
 
     def relu_probe(x):
         clearance[0] = min(clearance[0], float(np.abs(x).min()))
-        return real_relu(x)
+        y, cache = real_relu(x)
+        relu_out[0] = y
+        return y, cache
 
     def pool_probe(x, window, stride):
         n, c, h, w = x.shape
@@ -317,9 +321,10 @@ def _kink_clearance(model, frames):
             x, (n, c, ho, wo, window, window),
             (sn, sc, sh * stride, sw * stride, sh, sw)).reshape(n, c, ho, wo, -1)
         top2 = np.sort(win, axis=-1)[..., -2:]
-        contested = top2[..., 1] > 0
-        if np.any(contested):
-            margin = (top2[..., 1] - top2[..., 0])[contested]
+        margin = top2[..., 1] - top2[..., 0]
+        if x is relu_out[0]:
+            margin = margin[top2[..., 1] > 0]
+        if margin.size:
             clearance[0] = min(clearance[0], float(margin.min()))
         return real_pool(x, window, stride)
 

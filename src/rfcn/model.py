@@ -90,6 +90,9 @@ class RecurrentSpec:
             raise ConfigError(f"unknown cell kind {self.kind!r}")
         if self.kind == "conv_gru" and self.kernel % 2 != 1:
             raise ConfigError("conv_gru kernel must be odd")
+        if self.candidate_activation not in ("sigmoid", "tanh"):
+            raise ConfigError(
+                f"unknown candidate activation {self.candidate_activation!r}")
 
     def to_dict(self):
         d = {"kind": self.kind, "hidden": self.hidden}
@@ -337,6 +340,14 @@ CELL_UPDATE_BIAS = 4.0
 POST_CELL_GAIN = 2.0
 
 
+def _identity(shape, gain, dtype):
+    """Zeros with gain at (i, i) and the centre tap of each trailing axis."""
+    w = np.zeros(shape, dtype=dtype)
+    i = np.arange(shape[0])
+    w[(i, i) + tuple(k // 2 for k in shape[2:])] = gain
+    return w
+
+
 def _cell_init(suffix, shape, rng, dtype):
     if suffix == "b_z":
         return np.full(shape, CELL_UPDATE_BIAS, dtype=dtype)
@@ -344,20 +355,9 @@ def _cell_init(suffix, shape, rng, dtype):
         return np.zeros(shape, dtype=dtype)
     if suffix in ("w_h", "w_hz", "w_hr"):
         return np.zeros(shape, dtype=dtype)
-    if suffix == "w_x" and len(shape) == 2 and shape[0] == shape[1]:
-        return (np.eye(shape[0]) * CELL_INPUT_IDENTITY).astype(dtype)
-    if suffix == "w_x" and len(shape) == 4 and shape[0] == shape[1]:
-        w = np.zeros(shape, dtype=dtype)
-        w[np.arange(shape[0]), np.arange(shape[0]),
-          shape[2] // 2, shape[3] // 2] = CELL_INPUT_IDENTITY
-        return w
+    if suffix == "w_x" and shape[0] == shape[1]:
+        return _identity(shape, CELL_INPUT_IDENTITY, dtype)
     return fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
-
-
-def _identity_gain(shape, dtype):
-    w = np.zeros(shape, dtype=dtype)
-    w[np.arange(shape[0]), np.arange(shape[0]), 0, 0] = POST_CELL_GAIN
-    return w
 
 
 def init_model(config, rng, dtype=np.float32):
@@ -377,7 +377,7 @@ def init_model(config, rng, dtype=np.float32):
             params[name] = bilinear_kernel(f, c, kh, dtype=dtype)
         elif (name.startswith("post.") and kind == "conv1x1"
               and config.recurrent is not None and shape[0] == shape[1]):
-            params[name] = _identity_gain(shape, dtype)
+            params[name] = _identity(shape, POST_CELL_GAIN, dtype)
         else:
             params[name] = fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
     return ModelInstance(config=config, params=params, dtype=dtype)

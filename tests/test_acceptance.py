@@ -51,10 +51,12 @@ def test_acceptance_2_conv_gru_degenerates_to_dense():
     |delta| <= 1e-12 at f64 over 10 random steps."""
     rng = Rng(7)
     hidden, cin = 6, 4
-    dp = cells.DenseGruParams.init(hidden, cin, rng, dtype=np.float64)
-    cp = cells.ConvGruParams(**{
+    w = cells.CELLS["gru"].random_params(RecurrentSpec("gru", hidden=hidden), (cin,),
+                                         rng, np.float64)
+    dp = cells.GruParams(**w)
+    cp = cells.GruParams(**{
         k: (v.reshape(v.shape + (1, 1)) if v.ndim == 2 else v.copy())
-        for k, v in dp.as_dict().items()})
+        for k, v in w.items()})
     sd = cells.RecurrentCellState(np.zeros(hidden))
     sc = cells.RecurrentCellState(np.zeros((hidden, 1, 1)))
     worst = 0.0

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from rfcn import cells
-from rfcn.errors import ShapeError
+from rfcn.errors import ConfigError, ShapeError
 from rfcn.model import RecurrentSpec
 from rfcn.tensor import Rng, sigmoid
 
@@ -19,10 +19,16 @@ def gru_oracle(x, h, p):
     return (1 - z) * h + z * hc
 
 
+def random_params(spec, in_dims, rng):
+    """Zero biases and scaled-fan-in weights at float64, bound for the kind."""
+    w = cells.CELLS[spec.kind].random_params(spec, in_dims, rng, np.float64)
+    return cells.CELLS[spec.kind].bind(spec, w)
+
+
 def test_gru_step_matches_gate_equations():
     rng = Rng(200)
     for _ in range(10):
-        p = cells.DenseGruParams.init(6, 4, rng, dtype=np.float64)
+        p = random_params(RecurrentSpec("gru", hidden=6), (4,), rng)
         x = rng.uniform(-1, 1, 4)
         h = rng.uniform(-1, 1, 6)
         state, _ = cells.gru_step(x, cells.RecurrentCellState(h), p)
@@ -31,33 +37,43 @@ def test_gru_step_matches_gate_equations():
 
 def test_gru_rejects_mismatched_dims():
     rng = Rng(202)
-    p = cells.DenseGruParams.init(3, 2, rng, dtype=np.float64)
+    p = random_params(RecurrentSpec("gru", hidden=3), (2,), rng)
     with pytest.raises(ShapeError):
         cells.gru_step(np.zeros(5), cells.RecurrentCellState(np.zeros(3)), p)
 
 
 def test_conv_gru_1x1_degenerates_to_dense_gru():
     """On 1x1 spatial maps with 1x1 kernels, the convolutional GRU is the
-    dense GRU exactly: |difference| <= 1e-12 over 10 chained random steps."""
+    dense GRU exactly: |difference| <= 1e-12 over 10 chained random steps,
+    in the step and in its backward (input, hidden and weight gradients)."""
     rng = Rng(203)
     hidden, cin = 5, 3
-    dp = cells.DenseGruParams.init(hidden, cin, rng, dtype=np.float64)
-    cp = cells.ConvGruParams(**{k: (v.reshape(v.shape + (1, 1)) if v.ndim == 2
-                                    else v.copy())
-                                for k, v in dp.as_dict().items()})
+    w = cells.CELLS["gru"].random_params(RecurrentSpec("gru", hidden=hidden), (cin,),
+                                         rng, np.float64)
+    dp = cells.GruParams(**w)
+    cp = cells.GruParams(**{k: (v.reshape(v.shape + (1, 1)) if v.ndim == 2
+                                else v.copy()) for k, v in w.items()})
     hd = rng.uniform(-1, 1, hidden)
     sd = cells.RecurrentCellState(hd)
     sc = cells.RecurrentCellState(hd.reshape(hidden, 1, 1).copy())
     for _ in range(10):
         x = rng.uniform(-1, 1, cin)
-        sd, _ = cells.gru_step(x, sd, dp)
-        sc, _ = cells.conv_gru_step(x.reshape(cin, 1, 1), sc, cp)
+        sd, cache_d = cells.gru_step(x, sd, dp)
+        sc, cache_c = cells.conv_gru_step(x.reshape(cin, 1, 1), sc, cp)
         assert np.abs(sc.h[:, 0, 0] - sd.h).max() <= 1e-12
+        g = rng.uniform(-1, 1, hidden)
+        gxd, ghd, gwd = cells.gru_backward(g, cache_d, dp)
+        gxc, ghc, gwc = cells.conv_gru_backward(g.reshape(hidden, 1, 1), cache_c, cp)
+        assert np.abs(gxc.reshape(-1) - gxd).max() <= 1e-12
+        assert np.abs(ghc.reshape(-1) - ghd).max() <= 1e-12
+        assert list(gwc) == list(gwd)
+        for k in gwd:
+            assert np.abs(gwc[k].reshape(gwd[k].shape) - gwd[k]).max() <= 1e-12, k
 
 
 def test_conv_gru_preserves_spatial_dims():
     rng = Rng(204)
-    p = cells.ConvGruParams.init(4, 2, 3, rng, dtype=np.float64)
+    p = random_params(RecurrentSpec("conv_gru", hidden=4, kernel=3), (2, 7, 9), rng)
     x = rng.uniform(-1, 1, (2, 7, 9))
     s = cells.RecurrentCellState(np.zeros((4, 7, 9)))
     s2, _ = cells.conv_gru_step(x, s, p)
@@ -65,16 +81,15 @@ def test_conv_gru_preserves_spatial_dims():
 
 
 def test_conv_gru_requires_odd_kernel():
-    rng = Rng(205)
-    with pytest.raises(ShapeError):
-        cells.ConvGruParams.init(4, 2, 2, rng)
+    with pytest.raises(ConfigError):
+        RecurrentSpec("conv_gru", hidden=4, kernel=2)
 
 
 def test_lstm_step_matches_gate_equations():
     rng = Rng(206)
     for act in ("sigmoid", "tanh"):
-        p = cells.LstmParams.init(5, 3, rng, dtype=np.float64,
-                                  candidate_activation=act)
+        p = random_params(RecurrentSpec("lstm", hidden=5, candidate_activation=act),
+                          (3,), rng)
         x = rng.uniform(-1, 1, 3)
         h = rng.uniform(-1, 1, 5)
         c = rng.uniform(-1, 1, 5)
@@ -91,15 +106,19 @@ def test_lstm_step_matches_gate_equations():
 
 def test_cell_table_binds_the_lstm_candidate_activation():
     spec = RecurrentSpec("lstm", hidden=5, candidate_activation="tanh")
-    p = cells.LstmParams.init(5, 3, Rng(207), candidate_activation="tanh")
-    assert cells.CELLS["lstm"].bind(spec, p.as_dict()).candidate_activation == "tanh"
+    assert random_params(spec, (3,), Rng(207)).candidate_activation == "tanh"
+
+
+def test_lstm_rejects_an_unknown_candidate_activation():
+    with pytest.raises(ConfigError):
+        RecurrentSpec("lstm", hidden=4, candidate_activation="relu")
 
 
 def test_gru_backward_consistent_with_finite_difference():
     """Spot-check one analytic gradient against central differences here;
     the exhaustive audit lives in the gradcheck module."""
     rng = Rng(209)
-    p = cells.DenseGruParams.init(4, 3, rng, dtype=np.float64)
+    p = random_params(RecurrentSpec("gru", hidden=4), (3,), rng)
     x = rng.uniform(-1, 1, 3)
     h0 = rng.uniform(-0.5, 0.5, 4)
     wout = rng.uniform(-1, 1, 4)

@@ -127,9 +127,10 @@ def test_usage_errors_exit_2(tmp_path, dataset):
     rc = main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
     assert rc == 2
     # a window that is not a positive integer
-    rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
-               "--window", "-1", "--out", str(tmp_path / "x.ckpt")])
-    assert rc == 2
+    for window in ("-1", "0"):
+        rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
+                   "--window", window, "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2, window
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -146,8 +147,13 @@ def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
     def string_window(cfg):
         cfg.window = "3"
 
-    for corrupt in (unknown_cell, string_window):
+    def relu_lstm_candidate(cfg):
+        cfg.recurrent.candidate_activation = "relu"
+
+    for kind, corrupt in (("gru", unknown_cell), ("gru", string_window),
+                          ("lstm", relu_lstm_candidate)):
         cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+        cfg.recurrent = RecurrentSpec(kind, hidden=cfg.recurrent.hidden)
         m = init_model(cfg, Rng(3))
         corrupt(m.config)
         ckpt = str(tmp_path / "bad.ckpt")
