@@ -10,6 +10,11 @@ Conv and deconv weight gradients are one GEMM each, contracting the batch and
 pixel axes together. The col2im scatter of a transposed conv whose patches
 tile the image (stride equal to the kernel size, no remainder) is a transpose
 of the columns instead of a loop over kernel offsets.
+
+Forward passes do only forward work. Each layer caches its input (conv its
+padded input, deconv and dense theirs), and conv2d_backward rebuilds the
+im2col columns from it. Max-pool keeps its input and output; its backward
+finds each window's first maximum again by comparing them.
 """
 
 from dataclasses import dataclass, field
@@ -111,7 +116,7 @@ def conv2d_forward(x, k):
     cols, ho, wo = _im2col(xp, kh, kw, k.stride)
     w2 = k.weights.reshape(f, c * kh * kw)
     y = np.matmul(w2, cols).reshape(n, f, ho, wo) + k.bias.reshape(1, f, 1, 1)
-    cache = LayerActivationCache(x.shape, {"cols": cols, "out_hw": (ho, wo)})
+    cache = LayerActivationCache(x.shape, {"xp": xp, "out_hw": (ho, wo)})
     return y, cache
 
 
@@ -122,7 +127,7 @@ def conv2d_backward(grad_out, cache, k):
     ho, wo = cache.data["out_hw"]
     if grad_out.shape != (n, f, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, f, ho, wo)}")
-    cols = cache.data["cols"]
+    cols, _, _ = _im2col(cache.data["xp"], kh, kw, k.stride)
     gy = grad_out.reshape(n, f, ho * wo)
     grad_b = gy.sum(axis=(0, 2))
     grad_w = np.tensordot(gy, cols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
@@ -174,40 +179,49 @@ def deconv2d_backward(grad_out, cache, k):
     return grad_x, grad_w, grad_b
 
 
+def _pool_taps(x, window, stride, ho, wo):
+    """The window*window strided views x[:, :, i::stride, j::stride], cropped
+    to (ho, wo), in row-major scan order of the offset (i, j)."""
+    for i in range(window):
+        for j in range(window):
+            yield x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+
+
 def maxpool2d_forward(x, window, stride=None):
     """Max pooling; ties break to the first maximum in row-major scan order."""
     stride = stride or window
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if window > h or window > w:
         raise ShapeError(f"pool window {window} exceeds input {h}x{w}")
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
-    sn, sc, sh, sw = x.strides
-    win = np.lib.stride_tricks.as_strided(
-        x, (n, c, ho, wo, window, window), (sn, sc, sh * stride, sw * stride, sh, sw))
-    flat = win.reshape(n, c, ho, wo, window * window)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    cache = LayerActivationCache(x.shape, {"arg": arg, "window": window, "stride": stride})
-    return np.ascontiguousarray(y), cache
+    taps = _pool_taps(x, window, stride, ho, wo)
+    y = next(taps).copy()
+    for tap in taps:
+        # maximum(a, b) returns a only when a > b or a is NaN, so a later tap
+        # equal to the running max (+0.0 after -0.0 included) leaves it alone
+        np.maximum(tap, y, out=y)
+    cache = LayerActivationCache(x.shape, {"x": x, "y": y, "window": window,
+                                           "stride": stride})
+    return y, cache
 
 
 def maxpool2d_backward(grad_out, cache):
-    n, c, h, w = cache.input_shape
-    arg = cache.data["arg"]
+    """Route each window's gradient to its first maximum in scan order, found
+    again here by comparing the taps with the pooled output."""
+    x, y = cache.data["x"], cache.data["y"]
     window = cache.data["window"]
     stride = cache.data["stride"]
-    if grad_out.shape != arg.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} != {arg.shape}")
-    ho, wo = arg.shape[2], arg.shape[3]
-    oy, ox = np.meshgrid(np.arange(ho), np.arange(wo), indexing="ij")
-    iy = oy[None, None] * stride + arg // window
-    ix = ox[None, None] * stride + arg % window
-    grad_x = np.zeros((n, c, h, w), dtype=grad_out.dtype)
-    ni = np.arange(n).reshape(n, 1, 1, 1)
-    ci = np.arange(c).reshape(1, c, 1, 1)
-    np.add.at(grad_x, (np.broadcast_to(ni, arg.shape), np.broadcast_to(ci, arg.shape), iy, ix),
-              grad_out)
+    if grad_out.shape != y.shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} != {y.shape}")
+    ho, wo = y.shape[2], y.shape[3]
+    grad_x = np.zeros(x.shape, dtype=grad_out.dtype)
+    still_open = np.ones(y.shape, dtype=bool)
+    for tap, gtap in zip(_pool_taps(x, window, stride, ho, wo),
+                         _pool_taps(grad_x, window, stride, ho, wo)):
+        hit = still_open & (tap == y)
+        gtap += np.where(hit, grad_out, 0)
+        still_open &= ~hit
     return grad_x
 
 

@@ -90,9 +90,15 @@ class RecurrentSpec:
             raise ConfigError(f"unknown cell kind {self.kind!r}")
         if self.kind == "conv_gru" and self.kernel % 2 != 1:
             raise ConfigError("conv_gru kernel must be odd")
+        if self.kind != "conv_gru" and self.kernel:
+            raise ConfigError(f"a {self.kind} cell takes no kernel, got {self.kernel}")
         if self.candidate_activation not in ("sigmoid", "tanh"):
             raise ConfigError(
                 f"unknown candidate activation {self.candidate_activation!r}")
+        if self.kind != "lstm" and self.candidate_activation != "sigmoid":
+            raise ConfigError(
+                f"a {self.kind} cell has a sigmoid candidate, got "
+                f"{self.candidate_activation!r}")
 
     def to_dict(self):
         d = {"kind": self.kind, "hidden": self.hidden}

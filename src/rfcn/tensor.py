@@ -24,13 +24,14 @@ def check_finite(x, op):
 
 
 def sigmoid(x):
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one exp:
+    -|x| is exactly -x on the first branch and x on the second, so neither
+    exp can overflow. Float dtypes are kept; other inputs give float64."""
     x = np.asarray(x)
-    out = np.empty_like(x, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
 
 
 class Rng:

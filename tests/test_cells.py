@@ -114,6 +114,16 @@ def test_lstm_rejects_an_unknown_candidate_activation():
         RecurrentSpec("lstm", hidden=4, candidate_activation="relu")
 
 
+def test_cells_reject_fields_their_kind_ignores():
+    for kind in ("gru", "lstm"):
+        with pytest.raises(ConfigError):
+            RecurrentSpec(kind, hidden=4, kernel=3)
+    for kind, kernel in (("gru", 0), ("conv_gru", 3)):
+        with pytest.raises(ConfigError):
+            RecurrentSpec(kind, hidden=4, kernel=kernel, candidate_activation="tanh")
+    assert RecurrentSpec("gru", hidden=4).to_dict() == {"kind": "gru", "hidden": 4}
+
+
 def test_gru_backward_consistent_with_finite_difference():
     """Spot-check one analytic gradient against central differences here;
     the exhaustive audit lives in the gradcheck module."""

@@ -150,8 +150,12 @@ def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
     def relu_lstm_candidate(cfg):
         cfg.recurrent.candidate_activation = "relu"
 
+    def dense_cell_kernel(cfg):
+        cfg.recurrent.kernel = 3
+
     for kind, corrupt in (("gru", unknown_cell), ("gru", string_window),
-                          ("lstm", relu_lstm_candidate)):
+                          ("lstm", relu_lstm_candidate), ("gru", dense_cell_kernel),
+                          ("lstm", dense_cell_kernel)):
         cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
         cfg.recurrent = RecurrentSpec(kind, hidden=cfg.recurrent.hidden)
         m = init_model(cfg, Rng(3))

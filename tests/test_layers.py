@@ -238,6 +238,16 @@ def test_weight_gradients_match_loop_oracle():
                                 rtol=0, atol=1e-12)
 
 
+def test_conv_cache_holds_no_column_matrix():
+    rng = Rng(109)
+    x = rng.uniform(-1, 1, (2, 4, 8, 8))
+    k = ConvKernel(rng.uniform(-1, 1, (5, 4, 3, 3)), rng.uniform(-1, 1, 5), 1, 1)
+    _, cache = conv2d_forward(x, k)
+    padded = 2 * 4 * 10 * 10
+    for name, v in cache.data.items():
+        assert np.size(v) <= padded, (name, np.shape(v))
+
+
 def test_maxpool_forward_matches_oracle():
     rng = Rng(105)
     for _ in range(20):
@@ -269,6 +279,47 @@ def test_maxpool_tie_breaks_to_first_in_scan_order():
     _, cache = maxpool2d_forward(x, 2, 2)
     g = maxpool2d_backward(np.ones((1, 1, 1, 1)), cache)
     npt.assert_array_equal(g, [[[[1, 0], [0, 0]]]])
+    # -0.0 == +0.0, so the first of the pair is the maximum, sign bit and all
+    y, _ = maxpool2d_forward(np.array([[[[-0.0, 0.0], [-1.0, -1.0]]]]), 2, 2)
+    assert y[0, 0, 0, 0] == 0 and np.signbit(y[0, 0, 0, 0])
+    y, _ = maxpool2d_forward(np.array([[[[0.0, -0.0], [-1.0, -1.0]]]]), 2, 2)
+    assert y[0, 0, 0, 0] == 0 and not np.signbit(y[0, 0, 0, 0])
+
+
+def maxpool_backward_oracle(x, g, window, stride):
+    """Send each window's gradient to its first maximum in row-major order."""
+    n, c, _, _ = x.shape
+    grad_x = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    win = x[ni, ci, i * stride:i * stride + window,
+                            j * stride:j * stride + window]
+                    a, b = divmod(int(np.argmax(win.reshape(-1))), window)
+                    grad_x[ni, ci, i * stride + a, j * stride + b] += g[ni, ci, i, j]
+    return grad_x
+
+
+def test_maxpool_backward_matches_loop_oracle():
+    rng = Rng(108)
+    for _ in range(30):
+        window = rng.integers(1, 4)
+        stride = rng.integers(1, 4)
+        h = rng.integers(window, window + 7)
+        w = rng.integers(window, window + 7)
+        # a few integer levels, so windows often hold tied maxima
+        x = np.floor(rng.uniform(0, 3, (2, 3, h, w)))
+        y, cache = maxpool2d_forward(x, window, stride)
+        g = rng.uniform(-1, 1, y.shape)
+        gx = maxpool2d_backward(g, cache)
+        ref = maxpool_backward_oracle(x, g, window, stride)
+        assert gx.dtype == np.float64
+        if stride >= window:
+            npt.assert_array_equal(gx, ref)
+        else:
+            # overlapping windows sum into shared pixels in another order
+            npt.assert_allclose(gx, ref, rtol=0, atol=1e-12)
 
 
 def test_relu_forward_backward():

@@ -21,6 +21,30 @@ def test_sigmoid_stable_at_extremes():
     npt.assert_allclose(y, [0.0, 0.0, 1.0, 1.0], atol=1e-12)
 
 
+def sigmoid_two_branch(x):
+    """1 / (1 + e^-x) where x >= 0, e^x / (1 + e^x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_two_branch_formula():
+    special = [0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 745.0, -745.0, 1e4, -1e4]
+    spread = Rng(2).uniform(-40, 40, 500)
+    for dtype, bits in ((np.float32, np.uint32), (np.float64, np.uint64)):
+        x = np.concatenate([special, spread]).astype(dtype)
+        y = sigmoid(x)
+        assert y.dtype == dtype
+        npt.assert_array_equal(y.view(bits), sigmoid_two_branch(x).view(bits))
+        assert np.isnan(sigmoid(np.array([np.nan, -np.nan], dtype=dtype))).all()
+    yi = sigmoid(np.array([-3, 0, 2]))
+    assert yi.dtype == np.float64
+    npt.assert_array_equal(yi, sigmoid_two_branch(np.array([-3.0, 0.0, 2.0])))
+
+
 def test_check_finite_reports_op_and_index():
     x = np.array([1.0, 2.0, np.nan, 4.0])
     with pytest.raises(NumericsError) as e:
