@@ -134,8 +134,8 @@ def cmd_eval(args):
     if not samples:
         raise DataError(f"no {args.split!r} samples in {args.data}")
     if args.oracle:
-        pairs = [(binary_target(s.target), binary_target(s.target))
-                 for s in samples]
+        pairs = ((binary_target(s.target), binary_target(s.target))
+                 for s in samples)
         report = metrics_mod.evaluate_masks(pairs, per_frame=args.per_frame)
     else:
         report = evaluate(model, samples, threshold=args.threshold,
@@ -165,13 +165,11 @@ def cmd_predict(args):
     if args.stream:
         for t, logits in forward_stream(model, frames):
             mask = logits_to_mask(model, logits, args.threshold)
-            data_mod.write_pgm(os.path.join(args.out, f"mask_{t:04d}.pgm"),
-                               mask.astype(np.uint8))
+            data_mod.write_pgm(os.path.join(args.out, f"mask_{t:04d}.pgm"), mask)
     else:
         for end in range(T - 1, len(frames)):
             mask = predict(model, frames[end - T + 1:end + 1], args.threshold)
-            data_mod.write_pgm(os.path.join(args.out, f"mask_{end:04d}.pgm"),
-                               mask.astype(np.uint8))
+            data_mod.write_pgm(os.path.join(args.out, f"mask_{end:04d}.pgm"), mask)
     print(f"wrote {len(frames) - T + 1} masks to {args.out}")
     return EXIT_OK
 

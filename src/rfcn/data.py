@@ -39,7 +39,7 @@ class MotionSpec:
 @dataclass
 class VideoSequence:
     frames: list  # CHW float arrays in [0, 1]
-    masks: list   # HW integer class maps, 0 = background
+    masks: list   # HW MASK_DTYPE class maps, 0 = background
     source_id: str = ""
 
     def __post_init__(self):
@@ -189,13 +189,16 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
     constant velocity; masks are the thresholded frames.
 
     mode="binary" labels foreground as class 1; mode="semantic" labels it as
-    digit class + 1.
+    digit class + 1, which must fit a mask (at most MAX_CLASS_ID).
     """
     digits = np.asarray(digits)
     if digits.ndim != 3 or digits.shape[0] == 0:
         raise DataError("digit set must be a non-empty (N, H, W) array")
     if length < 1:
         raise DataError("sequence length must be >= 1")
+    if mode != "binary" and int(np.max(labels)) + 1 > MAX_CLASS_ID:
+        raise DataError(f"digit label {int(np.max(labels))} has class id above "
+                        f"{MAX_CLASS_ID}, the largest a mask holds")
     idx = rng.choice(digits.shape[0])
     base = digits[idx]
     cls = 1 if mode == "binary" else int(labels[idx]) + 1
@@ -209,7 +212,7 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
     for _ in range(length):
         frame = bilinear_translate(base, oy, ox).astype(np.float32)
         frames.append(frame[None])
-        masks.append(np.where(frame > threshold, cls, 0).astype(np.int64))
+        masks.append(np.where(frame > threshold, cls, 0).astype(MASK_DTYPE))
         ox, dx = _advance(ox, dx, max_offset, motion.boundary)
         oy, dy = _advance(oy, dy, max_offset, motion.boundary)
     return VideoSequence(frames, masks, source_id=source_id)
@@ -233,13 +236,22 @@ def _advance(pos, vel, bound, policy):
 # ---------------------------------------------------------------------------
 # PGM / PPM raster IO
 
+MASK_DTYPE = np.uint8
+"""The dtype of every mask the library makes: a map of class ids, 0 =
+background. Ids run 0-255 because masks are stored as 8-bit PGM files."""
+MAX_CLASS_ID = int(np.iinfo(MASK_DTYPE).max)
+
 
 def write_pgm(path, data):
-    """8-bit binary PGM; data is (H, W) uint8 or float in [0, 1]."""
+    """8-bit binary PGM; data is (H, W) float in [0, 1], or integers in
+    0-255 (a mask), written as they are."""
     data = np.asarray(data)
     if data.dtype.kind == "f":
         data = np.clip(np.round(data * 255), 0, 255).astype(np.uint8)
-    data = data.astype(np.uint8)
+    elif data.size and (data.min() < 0 or data.max() > 255):
+        raise DataError(f"{path}: PGM pixel values must be in 0-255, got "
+                        f"{data.min()}..{data.max()}")
+    data = data.astype(np.uint8, copy=False)
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -302,7 +314,7 @@ def save_sequence(seq, directory):
             write_pgm(os.path.join(fdir, f"frame_{i:04d}.pgm"), frame[0])
         else:
             write_ppm(os.path.join(fdir, f"frame_{i:04d}.ppm"), frame)
-        write_pgm(os.path.join(mdir, f"mask_{i:04d}.pgm"), mask.astype(np.uint8))
+        write_pgm(os.path.join(mdir, f"mask_{i:04d}.pgm"), mask)
 
 
 def load_frame_directory(frames_dir, masks_dir, source_id=""):
@@ -322,7 +334,8 @@ def load_frame_directory(frames_dir, masks_dir, source_id=""):
             frame = read_ppm(fpath).astype(np.float32) / 255.0
         else:
             frame = read_pgm(fpath)[None].astype(np.float32) / 255.0
-        mask = read_pgm(os.path.join(masks_dir, mn)).astype(np.int64)
+        # an owned, writable copy: the reader returns a read-only view
+        mask = read_pgm(os.path.join(masks_dir, mn)).astype(MASK_DTYPE)
         if frame.shape[1:] != mask.shape:
             raise DataError(f"frame {fn} dims {frame.shape[1:]} != mask {mask.shape}")
         frames.append(frame)

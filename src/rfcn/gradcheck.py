@@ -15,7 +15,7 @@ from .layers import (ConvKernel, conv2d_backward, conv2d_forward,
                      dense_forward, maxpool2d_backward, maxpool2d_forward,
                      relu_backward, relu_forward)
 from .model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
-                    backward_window, forward_window, init_model)
+                    backward_window, forward_window, init_model, shape_check)
 from .tensor import Rng
 
 STEP = 1e-5
@@ -267,12 +267,9 @@ def tiny_lstm_config():
 
 
 def tiny_skip_config():
-    """A conv-GRU net with a skip link. The post chain halves the map with a
-    strided conv, scores it with a 1x1 conv and upsamples it; the link adds
-    a scored copy of the strided conv's output to the 1x1 score. No pool
-    follows the cell: the freshly initialized cell passes the trunk relu's
-    exact zeros through, and `_kink_clearance` rejects every draw whose
-    pool windows tie at them."""
+    """A conv-GRU net with a skip link. The post chain halves the cell's map
+    with a pool, convolves it, scores it with a 1x1 conv and upsamples it;
+    the link adds a scored copy of the pool's output to the 1x1 score."""
     return ArchitectureConfig(
         name="tiny-skip-net", input_shape=(1, 8, 8), num_classes=2, window=3,
         pre=[
@@ -281,12 +278,13 @@ def tiny_skip_config():
         ],
         recurrent=RecurrentSpec("conv_gru", hidden=3, kernel=3),
         post=[
-            LayerSpec("conv", size=3, stride=2, pad=1, depth=4),
+            LayerSpec("pool", size=2),
+            LayerSpec("conv", size=3, pad=1, depth=4),
             LayerSpec("relu"),
             LayerSpec("conv1x1", depth=2),
             LayerSpec("deconv", size=2, stride=2, depth=2),
         ],
-        skip_links=[SkipLink(source=0, target=2)],
+        skip_links=[SkipLink(source=0, target=3)],
     )
 
 
@@ -348,8 +346,17 @@ def _draw_frames(model, config, rng, step=STEP, attempts=16):
 
 
 def audit_model(config, rng, n_samples=16):
-    """FD-audit every parameter group through a full window forward/backward."""
+    """FD-audit every parameter group through a full window forward/backward.
+
+    The cell gets random weights, not init_model's pass-through init: a
+    pass-through cell hands the trunk relu's exact zeros to whatever follows
+    it, and a pool there ties at them on every draw."""
     model = init_model(config, rng, dtype=np.float64)
+    spec = config.recurrent
+    if spec is not None:
+        in_dims = shape_check(config).recurrent_input[1]
+        weights = cells.CELLS[spec.kind].random_params(spec, in_dims, rng, np.float64)
+        model.params.update((f"cell.{k}", v) for k, v in weights.items())
     frames = _draw_frames(model, config, rng)
     logits0, _ = forward_window(model, frames)
     wout = _weighted_sum(logits0.shape, rng)

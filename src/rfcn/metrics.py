@@ -63,14 +63,15 @@ def accumulate(pred, truth, counts=None, category_map=None):
 
 
 def remap(mask, category_map):
-    """Map class ids to category ids; every id present must be mapped."""
+    """Map class ids to category ids; every id present must be mapped. The
+    result is int64, so a category id need not fit the mask's dtype."""
     mask = np.asarray(mask)
-    out = np.empty_like(mask)
-    for cls in np.unique(mask):
+    ids = np.unique(mask)
+    for cls in ids:
         if int(cls) not in category_map:
             raise DataError(f"class id {int(cls)} missing from category map")
-        out[mask == cls] = category_map[int(cls)]
-    return out
+    cats = np.array([category_map[int(cls)] for cls in ids], dtype=np.int64)
+    return cats[np.searchsorted(ids, mask)]
 
 
 def precision_recall_f(counts, cls=FOREGROUND):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cells
+from .data import MAX_CLASS_ID
 from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (ConvKernel, bilinear_kernel, conv2d_backward, conv2d_forward,
                      conv_output_dim, deconv2d_backward, deconv2d_forward,
@@ -272,8 +273,9 @@ def shape_check(config):
     """Walk the config, validating every layer and collecting parameter shapes.
 
     Raises ConfigError on any inconsistency, including a window that is not
-    a positive integer, and logits whose spatial dims differ from the input
-    or whose channel count differs from num_classes.
+    a positive integer, logits whose spatial dims differ from the input or
+    whose channel count differs from num_classes, and more classes than a
+    mask's ids can name.
     """
     window = config.window
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
@@ -306,6 +308,9 @@ def shape_check(config):
         raise ConfigError(f"network output must be a spatial map, got {shape}")
     if dims[0] != config.num_classes:
         raise ConfigError(f"output channels {dims[0]} != num_classes {config.num_classes}")
+    if dims[0] > MAX_CLASS_ID + 1:
+        raise ConfigError(f"num_classes {dims[0]} exceeds {MAX_CLASS_ID + 1}, "
+                          f"the class ids a mask holds")
     if dims[1:] != config.input_shape[1:]:
         raise ConfigError(
             f"output spatial dims {dims[1:]} != input {config.input_shape[1:]}")

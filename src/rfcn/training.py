@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics as metrics_mod
+from .data import MASK_DTYPE
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
 from .model import backward_window, forward_window
 from .tensor import Rng, sigmoid
@@ -187,15 +188,16 @@ def _loss_fn(cfg):
 
 def binary_target(target):
     """The binary mask of a target: 1 wherever its label is positive."""
-    return (np.asarray(target) > 0).astype(np.int64)
+    return (np.asarray(target) > 0).astype(MASK_DTYPE)
 
 
 def logits_to_mask(model, logits, threshold=0.5):
-    """Turn (C,H,W) logits into a mask: sigmoid-threshold for binary models,
-    per-pixel argmax for multiclass."""
+    """Turn (C,H,W) logits into a MASK_DTYPE mask: sigmoid-threshold for
+    binary models, per-pixel argmax for multiclass (shape_check caps the
+    classes at what a mask holds)."""
     if model.config.num_classes == 1:
-        return (sigmoid(logits[0]) > threshold).astype(np.int64)
-    return np.argmax(logits, axis=0).astype(np.int64)
+        return (sigmoid(logits[0]) > threshold).astype(MASK_DTYPE)
+    return np.argmax(logits, axis=0).astype(MASK_DTYPE)
 
 
 def predict(model, frames, threshold=0.5):
@@ -205,11 +207,10 @@ def predict(model, frames, threshold=0.5):
 
 
 def evaluate(model, samples, threshold=0.5, per_frame=False):
-    """Binary metric report over SequenceSamples."""
-    pairs = []
-    for s in samples:
-        pred = predict(model, s.frames, threshold)
-        pairs.append((pred, binary_target(s.target)))
+    """Binary metric report over SequenceSamples; each window's masks are
+    tallied and dropped before the next window runs."""
+    pairs = ((predict(model, s.frames, threshold), binary_target(s.target))
+             for s in samples)
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 
 

@@ -3,13 +3,15 @@ exit codes."""
 
 import json
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from rfcn.cli import main
-from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
-                        init_model, load_checkpoint, save_checkpoint)
+from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
+                        RecurrentSpec, init_model, load_checkpoint,
+                        save_checkpoint)
 from rfcn.tensor import Rng
 
 
@@ -165,6 +167,21 @@ def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
         rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
                    "--report", str(tmp_path / "r.json")])
         assert rc == 1, corrupt.__name__
+
+
+def test_checkpoint_with_too_many_classes_exits_1(tmp_path, dataset):
+    """257 class ids do not fit a uint8 mask; such a checkpoint is corrupt."""
+    n = 257
+    cfg = ArchitectureConfig(
+        name="classes", input_shape=(1, 28, 28), num_classes=n, window=1,
+        pre=[LayerSpec("conv1x1", depth=n)], recurrent=None, post=[])
+    params = OrderedDict((("pre.0.conv1x1.weights", np.zeros((n, 1, 1, 1), np.float32)),
+                          ("pre.0.conv1x1.bias", np.zeros(n, np.float32))))
+    ckpt = str(tmp_path / "classes.ckpt")
+    save_checkpoint(ModelInstance(cfg, params), ckpt)
+    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
 
 
 def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):

@@ -1,9 +1,15 @@
 """Data pipeline tests: IDX files, sub-pixel motion, raster IO, windows,
 manifests."""
 
+import os
+import tempfile
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rfcn import data as D
 from rfcn.errors import DataError
@@ -110,6 +116,7 @@ def test_gen_moving_mnist_masks_are_thresholded_frames():
     assert len(seq) == 5
     for frame, mask in zip(seq.frames, seq.masks):
         assert frame.shape == (1, 28, 28)
+        assert mask.dtype == D.MASK_DTYPE == np.uint8
         npt.assert_array_equal(mask, (frame[0] > 0.5).astype(np.int64))
 
 
@@ -119,10 +126,22 @@ def test_gen_moving_mnist_semantic_mode_uses_digit_class():
     seq = D.gen_moving_mnist(digits, labels, None, 3, rng, mode="semantic")
     fg = set()
     for mask in seq.masks:
+        assert mask.dtype == np.uint8
         fg |= set(np.unique(mask)) - {0}
     assert len(fg) == 1
     cls = fg.pop()
     assert 1 <= cls <= 10
+
+
+def test_gen_moving_mnist_semantic_rejects_class_ids_above_a_byte():
+    """Class id = label + 1 must fit a uint8 mask; 256 would wrap to 0."""
+    digits, _ = D.builtin_digits()
+    top = D.gen_moving_mnist(digits, np.full(10, 254), None, 2, Rng(410),
+                             mode="semantic")
+    assert {int(v) for m in top.masks for v in np.unique(m)} == {0, 255}
+    with pytest.raises(DataError):
+        D.gen_moving_mnist(digits, np.full(10, 255), None, 2, Rng(410),
+                           mode="semantic")
 
 
 def test_pgm_ppm_roundtrip(tmp_path):
@@ -135,6 +154,16 @@ def test_pgm_ppm_roundtrip(tmp_path):
     p2 = str(tmp_path / "img.ppm")
     D.write_ppm(p2, color)
     npt.assert_array_equal(D.read_ppm(p2), color)
+
+
+def test_write_pgm_rejects_integers_outside_a_byte(tmp_path):
+    p = str(tmp_path / "m.pgm")
+    ids = np.array([[0, 1], [200, 255]], dtype=np.int64)
+    D.write_pgm(p, ids)
+    npt.assert_array_equal(D.read_pgm(p), ids)
+    for bad in (256, -1, 300):
+        with pytest.raises(DataError):
+            D.write_pgm(p, np.array([[0, bad]]))
 
 
 def test_read_pgm_rejects_garbage(tmp_path):
@@ -155,6 +184,35 @@ def test_save_load_sequence_roundtrip(tmp_path):
         assert np.abs(f1 - f2).max() <= 1 / 255 + 1e-7
     for m1, m2 in zip(seq.masks, back.masks):
         npt.assert_array_equal(m1, m2)
+        assert m2.dtype == np.uint8
+        # owned and writable, not a read-only view of the file's bytes
+        assert m2.flags.owndata and m2.flags.writeable
+
+
+@st.composite
+def mask_sequences(draw):
+    """A short sequence of 1- or 3-channel frames on the 8-bit grid, with
+    masks of arbitrary class ids 0-255."""
+    length = draw(st.integers(1, 3))
+    channels = draw(st.sampled_from((1, 3)))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pixels = draw(arrays(np.uint8, (length, channels, h, w)))
+    masks = draw(arrays(np.uint8, (length, h, w)))
+    frames = [(f / 255.0).astype(np.float32) for f in pixels]
+    return D.VideoSequence(frames, list(masks))
+
+
+@given(mask_sequences())
+def test_save_load_sequence_roundtrips_masks_bitwise(seq):
+    with tempfile.TemporaryDirectory() as d:
+        D.save_sequence(seq, d)
+        back = D.load_frame_directory(os.path.join(d, "frames"),
+                                      os.path.join(d, "masks"))
+    assert len(back) == len(seq)
+    for f1, f2, m1, m2 in zip(seq.frames, back.frames, seq.masks, back.masks):
+        npt.assert_array_equal(f2, f1)
+        assert m2.dtype == np.uint8
+        npt.assert_array_equal(m2, m1)
 
 
 def test_sliding_windows_targets_last_frame():

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from rfcn.gradcheck import (DENOM_FLOOR, STEP, _kink_clearance, fd_check,
-                            rel_err, tiny_convgru_config, tiny_lenet_config,
-                            tiny_lstm_config, tiny_skip_config)
+from rfcn.gradcheck import (DENOM_FLOOR, STEP, _kink_clearance, audit_model,
+                            fd_check, rel_err, tiny_convgru_config,
+                            tiny_lenet_config, tiny_lstm_config,
+                            tiny_skip_config)
 from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
                         init_model, shape_check)
 from rfcn.tensor import Rng
@@ -60,6 +61,8 @@ def test_tiny_audit_configs_are_valid():
                 tiny_skip_config()):
         report = shape_check(cfg)
         assert report.output_shape[0] == cfg.num_classes
+    # the skip net audits a pool right after its cell
+    assert tiny_skip_config().post[0].kind == "pool"
 
 
 def test_kink_clearance_sees_relu_and_pool():
@@ -73,19 +76,32 @@ def test_kink_clearance_sees_relu_and_pool():
     assert np.isfinite(_kink_clearance(model, frames))
 
 
-def test_kink_clearance_counts_tied_zeros_after_a_cell():
-    """A pool right after a fresh conv-GRU sees the trunk relu's exact zeros
-    with no relu of its own in between, so its tied zeros are real argmax
-    ties: every draw must read within the rejection distance."""
-    cfg = ArchitectureConfig(
+def pool_after_cell_config():
+    return ArchitectureConfig(
         name="pool-after-cell", input_shape=(1, 8, 8), num_classes=2, window=3,
         pre=[LayerSpec("conv", size=3, pad=1, depth=3), LayerSpec("relu")],
         recurrent=RecurrentSpec("conv_gru", hidden=3, kernel=3),
         post=[LayerSpec("pool", size=2), LayerSpec("conv1x1", depth=2),
               LayerSpec("deconv", size=2, stride=2, depth=2)],
         skip_links=[SkipLink(source=0, target=1)])
+
+
+def test_kink_clearance_counts_tied_zeros_after_a_cell():
+    """A pool right after a fresh conv-GRU sees the trunk relu's exact zeros
+    with no relu of its own in between, so its tied zeros are real argmax
+    ties: every draw must read within the rejection distance."""
+    cfg = pool_after_cell_config()
     model = init_model(cfg, Rng(0), dtype=np.float64)
     for seed in range(4):
         rng = Rng(seed)
         frames = [rng.uniform(0, 1, cfg.input_shape) for _ in range(cfg.window)]
         assert _kink_clearance(model, frames) <= 50 * STEP, seed
+
+
+def test_audit_model_audits_a_pool_after_a_cell():
+    """audit_model draws random cell weights, so a pool after the cell no
+    longer sees the pass-through cell's tied zeros and the audit passes."""
+    for seed in range(3):
+        report = audit_model(pool_after_cell_config(), Rng(seed))
+        assert "skip.0.score.weights" in report
+        assert max(report.values()) <= 1e-6, seed

@@ -1,6 +1,7 @@
 """Metric tests: brute-force per-pixel oracles and edge-case conventions."""
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from rfcn.errors import DataError, ShapeError
@@ -95,6 +96,17 @@ def test_category_iou_remaps_before_tallying():
     # without the category view the same pair scores zero on class 1
     counts = accumulate(pred, truth)
     assert iou(counts, 1) == 0.0
+
+
+def test_category_iou_takes_category_ids_beyond_the_mask_dtype():
+    """A uint8 mask maps to category ids it cannot hold itself."""
+    pred = np.array([[1, 2], [0, 0]], dtype=np.uint8)
+    truth = np.array([[1, 1], [0, 2]], dtype=np.uint8)
+    cmap = {0: 0, 1: 300, 2: 300}
+    npt.assert_array_equal(remap(pred, cmap), [[300, 300], [0, 0]])
+    per_cat, mean = category_iou([(pred, truth)], cmap)
+    assert per_cat == {0: 0.5, 300: 2 / 3}
+    assert mean == pytest.approx((0.5 + 2 / 3) / 2)
 
 
 def test_mean_class_iou_skips_absent_classes():

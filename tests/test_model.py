@@ -3,14 +3,15 @@ and checkpoint serialization."""
 
 import json
 import struct
+from collections import OrderedDict
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from rfcn.errors import CheckpointError, ConfigError, ShapeError
-from rfcn.model import (ArchitectureConfig, LayerSpec, PRESET_NAMES,
-                        RecurrentSpec, SkipLink, backward_window,
+from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
+                        PRESET_NAMES, RecurrentSpec, SkipLink, backward_window,
                         forward_stream, forward_window, init_model,
                         load_checkpoint, load_matching, preset,
                         save_checkpoint, shape_check)
@@ -58,6 +59,34 @@ def test_shape_check_rejects_wrong_output_channels():
     cfg.num_classes = 3
     with pytest.raises(ConfigError):
         shape_check(cfg)
+
+
+def classes_model(n):
+    """A 1x1-conv net scoring n classes, built without shape_check."""
+    cfg = ArchitectureConfig(
+        name="classes", input_shape=(1, 4, 4), num_classes=n, window=1,
+        pre=[LayerSpec("conv1x1", depth=n)], recurrent=None, post=[])
+    params = OrderedDict((("pre.0.conv1x1.weights", np.zeros((n, 1, 1, 1), np.float32)),
+                          ("pre.0.conv1x1.bias", np.zeros(n, np.float32))))
+    return ModelInstance(cfg, params)
+
+
+def test_shape_check_rejects_more_classes_than_a_mask_holds():
+    """Class ids 0-255 fit a uint8 mask; a 257th class would wrap to 0."""
+    ok = classes_model(256)
+    assert dict(shape_check(ok.config).param_shapes) == \
+        {k: v.shape for k, v in ok.params.items()}
+    with pytest.raises(ConfigError):
+        shape_check(classes_model(257).config)
+
+
+def test_checkpoint_with_too_many_classes_is_checkpoint_error(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(classes_model(256), path)
+    assert load_checkpoint(path).config.num_classes == 256
+    save_checkpoint(classes_model(257), path)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 def test_shape_check_rejects_spatial_mismatch():

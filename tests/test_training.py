@@ -6,12 +6,14 @@ import numpy.testing as npt
 import pytest
 
 from rfcn import data as D
+from rfcn import metrics
 from rfcn.errors import ConfigError, DataError, DivergenceError
 from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
                         init_model)
 from rfcn.tensor import Rng, sigmoid
 from rfcn.training import (AdadeltaState, SgdState, TrainConfig, TrainLog,
-                           adadelta_step, evaluate, logistic_loss,
+                           adadelta_step, binary_target, evaluate,
+                           logistic_loss, logits_to_mask,
                            multiclass_cross_entropy, predict, sgd_step, train)
 
 
@@ -286,3 +288,37 @@ def test_predict_and_evaluate_shapes():
     assert set(np.unique(mask)) <= {0, 1}
     report = evaluate(m, samples)
     assert set(report) == {"precision", "recall", "f_measure", "iou"}
+
+
+def test_masks_are_uint8_class_maps():
+    """binary_target, logits_to_mask and predict make uint8 masks, for a
+    binary and for a 5-class model."""
+    target = np.array([[0, 3], [1, 0]], dtype=np.int64)
+    bt = binary_target(target)
+    assert bt.dtype == np.uint8
+    npt.assert_array_equal(bt, [[0, 1], [1, 0]])
+    samples = tiny_samples(1, Rng(512))
+    binary = init_model(tiny_config(), Rng(0))
+    five = init_model(ArchitectureConfig(
+        name="tiny-5", input_shape=(1, 6, 6), num_classes=5, window=2,
+        pre=[LayerSpec("conv", size=3, pad=1, depth=5)], recurrent=None, post=[]),
+        Rng(0))
+    logits = Rng(513).uniform(-3, 3, (5, 6, 6))
+    mask = logits_to_mask(five, logits)
+    assert mask.dtype == np.uint8
+    npt.assert_array_equal(mask, np.argmax(logits, axis=0))
+    assert logits_to_mask(binary, logits[:1]).dtype == np.uint8
+    for model, classes in ((binary, 2), (five, 5)):
+        mask = predict(model, samples[0].frames)
+        assert mask.dtype == np.uint8
+        assert mask.shape == samples[0].target.shape
+        assert mask.max() < classes
+
+
+def test_evaluate_matches_evaluate_masks_on_listed_pairs():
+    samples = tiny_samples(2, Rng(514))
+    m = init_model(tiny_config(), Rng(1))
+    pairs = [(predict(m, s.frames), binary_target(s.target)) for s in samples]
+    for per_frame in (False, True):
+        assert evaluate(m, samples, per_frame=per_frame) == \
+            metrics.evaluate_masks(pairs, per_frame=per_frame)
