@@ -211,7 +211,7 @@ def build_parser():
     g.add_argument("--out", required=True)
     g.add_argument("--sequences", type=int, required=True)
     g.add_argument("--length", type=int, default=3)
-    g.add_argument("--mode", choices=("binary", "semantic"), default="binary")
+    g.add_argument("--mode", choices=data_mod.MASK_MODES, default="binary")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--train", type=int, default=None,
                    help="number of training sequences (default 70%%)")

@@ -182,6 +182,14 @@ def sample_motion(rng, min_speed=0.5, max_speed=2.0, boundary="bounce"):
     return MotionSpec((speed * np.cos(angle), speed * np.sin(angle)), boundary)
 
 
+MASK_MODES = ("binary", "semantic")
+
+
+def _check_mode(mode):
+    if mode not in MASK_MODES:
+        raise DataError(f"mask mode must be one of {MASK_MODES}, got {mode!r}")
+
+
 def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
                      threshold=DEFAULT_THRESHOLD, max_offset=DEFAULT_MAX_OFFSET,
                      source_id=""):
@@ -196,7 +204,8 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
         raise DataError("digit set must be a non-empty (N, H, W) array")
     if length < 1:
         raise DataError("sequence length must be >= 1")
-    if mode != "binary" and int(np.max(labels)) + 1 > MAX_CLASS_ID:
+    _check_mode(mode)
+    if mode == "semantic" and int(np.max(labels)) + 1 > MAX_CLASS_ID:
         raise DataError(f"digit label {int(np.max(labels))} has class id above "
                         f"{MAX_CLASS_ID}, the largest a mask holds")
     idx = rng.choice(digits.shape[0])
@@ -242,16 +251,22 @@ background. Ids run 0-255 because masks are stored as 8-bit PGM files."""
 MAX_CLASS_ID = int(np.iinfo(MASK_DTYPE).max)
 
 
+def _to_bytes(path, data, what):
+    """Samples for an 8-bit netpbm file: floats in [0, 1] are scaled and
+    rounded, integers must already lie in 0-255."""
+    data = np.asarray(data)
+    if data.dtype.kind == "f":
+        data = np.clip(np.round(data * 255), 0, 255)
+    elif data.size and (data.min() < 0 or data.max() > 255):
+        raise DataError(f"{path}: {what} pixel values must be in 0-255, got "
+                        f"{data.min()}..{data.max()}")
+    return data.astype(np.uint8, copy=False)
+
+
 def write_pgm(path, data):
     """8-bit binary PGM; data is (H, W) float in [0, 1], or integers in
     0-255 (a mask), written as they are."""
-    data = np.asarray(data)
-    if data.dtype.kind == "f":
-        data = np.clip(np.round(data * 255), 0, 255).astype(np.uint8)
-    elif data.size and (data.min() < 0 or data.max() > 255):
-        raise DataError(f"{path}: PGM pixel values must be in 0-255, got "
-                        f"{data.min()}..{data.max()}")
-    data = data.astype(np.uint8, copy=False)
+    data = _to_bytes(path, data, "PGM")
     h, w = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -259,10 +274,9 @@ def write_pgm(path, data):
 
 
 def write_ppm(path, data):
-    """8-bit binary PPM; data is (3, H, W) float in [0, 1] or uint8."""
-    data = np.asarray(data)
-    if data.dtype.kind == "f":
-        data = np.clip(np.round(data * 255), 0, 255).astype(np.uint8)
+    """8-bit binary PPM; data is (3, H, W) float in [0, 1], or integers in
+    0-255, written as they are."""
+    data = _to_bytes(path, data, "PPM")
     c, h, w = data.shape
     if c != 3:
         raise DataError(f"PPM needs 3 channels, got {c}")
@@ -449,6 +463,7 @@ def generate_dataset(out_dir, n_sequences, length, seed, n_train=None,
     """
     from .tensor import Rng
 
+    _check_mode(mode)
     if digits is None:
         digits, labels = builtin_digits()
     os.makedirs(out_dir, exist_ok=True)

@@ -11,12 +11,20 @@ pixel axes together. The col2im scatter of a transposed conv whose patches
 tile the image (stride equal to the kernel size, no remainder) is a transpose
 of the columns instead of a loop over kernel offsets.
 
-Forward passes do only forward work. Each layer caches its input (conv its
-padded input, deconv and dense theirs), and conv2d_backward rebuilds the
-im2col columns from it. Max-pool keeps its input and output; its backward
-finds each window's first maximum again by comparing them.
+Forward passes do only forward work. Conv caches its unpadded input, deconv
+and dense theirs, relu its output, and conv2d_backward rebuilds the padded
+im2col columns from the input. Max-pool keeps its input and output; its
+backward finds each window's first maximum again by comparing them.
+
+Column-space temporaries (the zero-padded input, the im2col columns, the
+column GEMM products that col2im scatters) live in a
+private per-thread workspace of grow-only buffers, so steady-state calls
+reuse the same memory instead of faulting in fresh pages. A forward pass
+allocates only what it returns or caches.
 """
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,39 +67,83 @@ class LayerActivationCache:
     data: dict = field(default_factory=dict)
 
 
-def _im2col(x, kh, kw, stride):
-    """(n, c, h, w) -> (n, c*kh*kw, ho*wo) patch matrix."""
+class _Workspace(threading.local):
+    """Per-thread, grow-only scratch buffers keyed by slot name and dtype.
+
+    get(slot, shape, dtype) returns a C-contiguous view of the slot's buffer
+    with that shape and uninitialized contents. The view is valid only until
+    the next get of the same slot on the same thread, so a layer consumes
+    everything it takes from here before it returns; nothing it returns or
+    caches may be such a view, and every view is written in full before it
+    is read. The workspace is per thread rather than per model because the
+    layers never see the model; threads never share scratch memory.
+    """
+
+    def __init__(self):
+        self.buffers = {}
+
+    def get(self, slot, shape, dtype):
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self.buffers.get((slot, dtype))
+        if buf is None or buf.size < size:
+            buf = self.buffers[(slot, dtype)] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+_workspace = _Workspace()
+
+
+def _im2col(x, kh, kw, stride, pad):
+    """(n, c, h, w) -> (n, c*kh*kw, ho*wo) patch matrix of x zero-padded by
+    pad, in the workspace. The padding is fused into the copy: x goes into
+    the interior of a workspace image whose border strips are zeroed. A 1x1,
+    stride-1, unpadded conv reads a contiguous x in place."""
     n, c, h, w = x.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
+    ho = conv_output_dim(h, kh, stride, pad)
+    wo = conv_output_dim(w, kw, stride, pad)
+    if kh == kw == stride == 1 and pad == 0:
+        return np.ascontiguousarray(x).reshape(n, c, h * w), ho, wo
+    if pad:
+        xp = _workspace.get("padded", (n, c, h + 2 * pad, w + 2 * pad), x.dtype)
+        xp[:, :, :pad] = 0
+        xp[:, :, pad + h:] = 0
+        xp[:, :, pad:pad + h, :pad] = 0
+        xp[:, :, pad:pad + h, pad + w:] = 0
+        xp[:, :, pad:pad + h, pad:pad + w] = x
+        x = xp
     sn, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x, (n, c, kh, kw, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride))
-    return np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo), ho, wo
+    cols = _workspace.get("cols", windows.shape, x.dtype)
+    np.copyto(cols, windows)
+    return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
 
 
-def _col2im(cols, n, c, hp, wp, kh, kw, stride):
-    """Adjoint of _im2col: scatter-add patches back into an (n, c, hp, wp) image."""
+def _col2im(cols, x, kh, kw, stride):
+    """Adjoint of _im2col without padding: scatter-add the patches in cols
+    into the (n, c, hp, wp) image x, in place."""
+    n, c, hp, wp = x.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     cols = cols.reshape(n, c, kh, kw, ho, wo)
-    x = np.zeros((n, c, hp, wp), dtype=cols.dtype)
     if stride == kh == kw and (hp, wp) == (ho * kh, wo * kw):
         # the patches tile the image: each pixel takes exactly one value, so
         # the scatter-add is a transpose of the columns into the image
         tiles = x.reshape(n, c, ho, kh, wo, kw)
         tiles += cols.transpose(0, 1, 4, 2, 5, 3)
-        return x
+        return
     for i in range(kh):
         for j in range(kw):
             x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
-    return x
 
 
-def _pad(x, p):
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _column_gemm(a, b):
+    """a (m, k) @ b (n, k, p) into the workspace's column slot, for col2im to
+    scatter. It overwrites the columns _im2col returned last."""
+    out = _workspace.get("cols", (b.shape[0], a.shape[0], b.shape[2]),
+                         np.result_type(a, b))
+    return np.matmul(a, b, out=out)
 
 
 def conv_output_dim(h, k, stride, pad):
@@ -112,11 +164,11 @@ def conv2d_forward(x, k):
         raise ShapeError(f"kernel {kh}x{kw} larger than padded input {h}x{w} (pad {k.pad})")
     if k.bias.shape[0] != f:
         raise ShapeError(f"conv bias length {k.bias.shape[0]} != {f} filters")
-    xp = _pad(x, k.pad)
-    cols, ho, wo = _im2col(xp, kh, kw, k.stride)
+    cols, ho, wo = _im2col(x, kh, kw, k.stride, k.pad)
     w2 = k.weights.reshape(f, c * kh * kw)
-    y = np.matmul(w2, cols).reshape(n, f, ho, wo) + k.bias.reshape(1, f, 1, 1)
-    cache = LayerActivationCache(x.shape, {"xp": xp, "out_hw": (ho, wo)})
+    y = np.matmul(w2, cols).reshape(n, f, ho, wo)
+    y += k.bias.reshape(1, f, 1, 1)
+    cache = LayerActivationCache(x.shape, {"x": x, "out_hw": (ho, wo)})
     return y, cache
 
 
@@ -127,14 +179,15 @@ def conv2d_backward(grad_out, cache, k):
     ho, wo = cache.data["out_hw"]
     if grad_out.shape != (n, f, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, f, ho, wo)}")
-    cols, _, _ = _im2col(cache.data["xp"], kh, kw, k.stride)
+    cols, _, _ = _im2col(cache.data["x"], kh, kw, k.stride, k.pad)
     gy = grad_out.reshape(n, f, ho * wo)
     grad_b = gy.sum(axis=(0, 2))
     grad_w = np.tensordot(gy, cols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
     w2 = k.weights.reshape(f, c * kh * kw)
-    grad_cols = np.matmul(w2.T, gy)
-    gx = _col2im(grad_cols, n, c, h + 2 * k.pad, w + 2 * k.pad, kh, kw, k.stride)
+    grad_cols = _column_gemm(w2.T, gy)  # the columns are consumed: reuse them
     p = k.pad
+    gx = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_cols.dtype)
+    _col2im(grad_cols, gx, kh, kw, k.stride)
     if p:
         gx = gx[:, :, p:-p, p:-p]
     return gx, grad_w, grad_b
@@ -154,11 +207,12 @@ def deconv2d_forward(x, k):
         raise ShapeError(f"deconv output dims {ho}x{wo} not positive")
     w2 = k.weights.reshape(f, c * kh * kw)
     xf = x.reshape(n, f, h * w)
-    cols = np.matmul(w2.T, xf)
-    yp = _col2im(cols, n, c, ho + 2 * k.pad, wo + 2 * k.pad, kh, kw, k.stride)
+    cols = _column_gemm(w2.T, xf)
     p = k.pad
-    y = yp[:, :, p:-p, p:-p] if p else yp
-    y = y + k.bias.reshape(1, c, 1, 1)
+    yp = np.zeros((n, c, ho + 2 * p, wo + 2 * p), dtype=cols.dtype)
+    _col2im(cols, yp, kh, kw, k.stride)
+    y = np.ascontiguousarray(yp[:, :, p:p + ho, p:p + wo])  # copies only if padded
+    y += k.bias.reshape(1, c, 1, 1)
     cache = LayerActivationCache(x.shape, {"xf": xf, "out_hw": (ho, wo)})
     return y, cache
 
@@ -170,8 +224,7 @@ def deconv2d_backward(grad_out, cache, k):
     if grad_out.shape != (n, c, ho, wo):
         raise ShapeError(f"grad_out shape {grad_out.shape} != {(n, c, ho, wo)}")
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    gp = _pad(grad_out, k.pad)
-    gcols, _, _ = _im2col(gp, kh, kw, k.stride)
+    gcols, _, _ = _im2col(grad_out, kh, kw, k.stride, k.pad)
     w2 = k.weights.reshape(f, c * kh * kw)
     grad_x = np.matmul(w2, gcols).reshape(n, f, h, w)
     xf = cache.data["xf"]
@@ -226,14 +279,15 @@ def maxpool2d_backward(grad_out, cache):
 
 
 def relu_forward(x):
-    cache = LayerActivationCache(x.shape, {"mask": x > 0})
-    return np.maximum(x, 0), cache
+    y = np.maximum(x, 0)
+    return y, LayerActivationCache(x.shape, {"y": y})
 
 
 def relu_backward(grad_out, cache):
+    """y > 0 exactly where x > 0: y = max(x, 0), and a NaN x gives a NaN y."""
     if grad_out.shape != cache.input_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != {cache.input_shape}")
-    return grad_out * cache.data["mask"]
+    return grad_out * (cache.data["y"] > 0)
 
 
 def dense_forward(x, w, b):

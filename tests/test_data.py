@@ -144,6 +144,19 @@ def test_gen_moving_mnist_semantic_rejects_class_ids_above_a_byte():
                            mode="semantic")
 
 
+def test_unknown_mask_mode_is_data_error(tmp_path):
+    """Only "binary" and "semantic" name a labelling; a near miss such as
+    "Binary" must not fall through to the semantic one."""
+    digits, labels = D.builtin_digits()
+    for mode in ("Binary", "instance", ""):
+        with pytest.raises(DataError):
+            D.gen_moving_mnist(digits, labels, None, 2, Rng(411), mode=mode)
+        out = tmp_path / f"set{mode}"
+        with pytest.raises(DataError):
+            D.generate_dataset(str(out), 2, 2, seed=0, mode=mode)
+        assert not out.exists()
+
+
 def test_pgm_ppm_roundtrip(tmp_path):
     rng = Rng(406)
     gray = (rng.uniform(0, 1, (9, 7)) * 255).astype(np.uint8)
@@ -164,6 +177,19 @@ def test_write_pgm_rejects_integers_outside_a_byte(tmp_path):
     for bad in (256, -1, 300):
         with pytest.raises(DataError):
             D.write_pgm(p, np.array([[0, bad]]))
+
+
+def test_write_ppm_writes_one_byte_per_sample(tmp_path):
+    """Integer input is range-checked and cast to bytes as write_pgm does,
+    so the file matches its 8-bit header."""
+    p = str(tmp_path / "c.ppm")
+    sevens = np.full((3, 2, 2), 7, dtype=np.int64)
+    D.write_ppm(p, sevens)
+    assert os.path.getsize(p) == len(b"P6\n2 2\n255\n") + sevens.size
+    npt.assert_array_equal(D.read_ppm(p), sevens)
+    for bad in (300, -1):
+        with pytest.raises(DataError):
+            D.write_ppm(p, np.full((3, 2, 2), bad, dtype=np.int64))
 
 
 def test_read_pgm_rejects_garbage(tmp_path):

@@ -1,9 +1,16 @@
-"""Layer tests: nested-loop convolution oracles, adjointness, pooling, dense."""
+"""Layer tests: nested-loop convolution oracles, adjointness, pooling, dense,
+property tests over random geometry, and the scratch workspace's contract."""
+
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from rfcn import layers
 from rfcn.errors import ShapeError
 from rfcn.layers import (ConvKernel, bilinear_kernel, conv2d_backward,
                          conv2d_forward, conv_output_dim, deconv2d_backward,
@@ -371,3 +378,233 @@ def test_conv_shape_validation():
     big = np.zeros((2, 3, 9, 9))
     with pytest.raises(ShapeError):
         conv2d_forward(x, ConvKernel(big, np.zeros(2), 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Property tests over random geometry. The exact oracles pad with np.pad and
+# gather or scatter patches one kernel offset at a time; they hand the same
+# operands to the same GEMMs as the layers, so the results must agree bit
+# for bit. Their meaning is pinned by the nested-loop oracles above.
+
+
+def im2col_loop(x, kh, kw, stride, pad):
+    """np.pad, then the patch matrix one kernel offset (i, j) at a time."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = conv_output_dim(h, kh, stride, pad)
+    wo = conv_output_dim(w, kw, stride, pad)
+    cols = np.zeros((n, c, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(n, c * kh * kw, ho * wo)
+
+
+def conv_exact_oracle(x, w, b, stride, pad, g):
+    """(y, grad_x, grad_w, grad_b) of a conv with upstream gradient g."""
+    f, c, kh, kw = w.shape
+    n, _, h, wd = x.shape
+    cols = im2col_loop(x, kh, kw, stride, pad)
+    w2 = w.reshape(f, c * kh * kw)
+    y = np.matmul(w2, cols).reshape(g.shape) + b.reshape(1, f, 1, 1)
+    gy = g.reshape(n, f, -1)
+    grad_w = np.tensordot(gy, cols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    gxp = col2im_loop(np.matmul(w2.T, gy), n, c, h + 2 * pad, wd + 2 * pad,
+                      kh, kw, stride)
+    return y, gxp[:, :, pad:pad + h, pad:pad + wd], grad_w, gy.sum(axis=(0, 2))
+
+
+def deconv_exact_oracle(x, w, b, stride, pad, g):
+    """(y, grad_x, grad_w, grad_b) of a transposed conv with upstream g."""
+    f, c, kh, kw = w.shape
+    n, _, h, wd = x.shape
+    ho, wo = g.shape[2:]
+    w2 = w.reshape(f, c * kh * kw)
+    xf = x.reshape(n, f, h * wd)
+    yp = col2im_loop(np.matmul(w2.T, xf), n, c, ho + 2 * pad, wo + 2 * pad,
+                     kh, kw, stride)
+    y = yp[:, :, pad:pad + ho, pad:pad + wo] + b.reshape(1, c, 1, 1)
+    gcols = im2col_loop(g, kh, kw, stride, pad)
+    grad_x = np.matmul(w2, gcols).reshape(x.shape)
+    grad_w = np.tensordot(xf, gcols, axes=([0, 2], [0, 2])).reshape(w.shape)
+    return y, grad_x, grad_w, g.sum(axis=(0, 2, 3))
+
+
+@st.composite
+def conv_geometries(draw):
+    """(n, c, f, kh, kw, stride, pad, h, w, dtype, seed) with a valid conv."""
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pad = draw(st.integers(0, 3))
+    h = draw(st.integers(max(1, kh - 2 * pad), kh + 6))
+    w = draw(st.integers(max(1, kw - 2 * pad), kw + 6))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+            kh, kw, draw(st.integers(1, 3)), pad, h, w,
+            draw(st.sampled_from([np.float32, np.float64])),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _draw_arrays(seed, dtype, *shapes):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-1, 1, s).astype(dtype) for s in shapes]
+
+
+@given(conv_geometries())
+def test_conv2d_matches_exact_oracle_over_random_geometry(geom):
+    n, c, f, kh, kw, stride, pad, h, wd, dtype, seed = geom
+    ho = conv_output_dim(h, kh, stride, pad)
+    wo = conv_output_dim(wd, kw, stride, pad)
+    x, w, b, g = _draw_arrays(seed, dtype, (n, c, h, wd), (f, c, kh, kw), f,
+                              (n, f, ho, wo))
+    k = ConvKernel(w, b, stride, pad)
+    y, cache = conv2d_forward(x, k)
+    got = (y,) + conv2d_backward(g, cache, k)
+    want = conv_exact_oracle(x, w, b, stride, pad, g)
+    for name, a, e in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
+        assert a.dtype == dtype and np.array_equal(a, e), name
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    npt.assert_allclose(y, conv2d_oracle(x, w, b, stride, pad), rtol=0, atol=tol)
+
+
+@given(conv_geometries())
+def test_deconv2d_matches_exact_oracle_over_random_geometry(geom):
+    n, c, f, kh, kw, stride, pad, h, wd, dtype, seed = geom
+    ho = deconv_output_dim(h, kh, stride, pad)
+    wo = deconv_output_dim(wd, kw, stride, pad)
+    assume(ho >= 1 and wo >= 1)
+    x, w, b, g = _draw_arrays(seed, dtype, (n, f, h, wd), (f, c, kh, kw), c,
+                              (n, c, ho, wo))
+    k = ConvKernel(w, b, stride, pad)
+    y, cache = deconv2d_forward(x, k)
+    got = (y,) + deconv2d_backward(g, cache, k)
+    want = deconv_exact_oracle(x, w, b, stride, pad, g)
+    for name, a, e in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
+        assert a.dtype == dtype and np.array_equal(a, e), name
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    npt.assert_allclose(y, deconv2d_oracle(x, w, b, stride, pad), rtol=0, atol=tol)
+
+
+@given(conv_geometries())
+def test_conv_backward_input_is_deconv_forward_over_random_geometry(geom):
+    """Adjointness: the transposed conv of g is the conv's input gradient,
+    cropped where the windows leave a remainder of the padded input (the
+    transposed conv cannot know about it) and whole where they do not."""
+    n, c, f, kh, kw, stride, pad, h, wd, dtype, seed = geom
+    ho = conv_output_dim(h, kh, stride, pad)
+    wo = conv_output_dim(wd, kw, stride, pad)
+    hd = deconv_output_dim(ho, kh, stride, pad)
+    wdd = deconv_output_dim(wo, kw, stride, pad)
+    assume(hd >= 1 and wdd >= 1)
+    x, w, b, g = _draw_arrays(seed, dtype, (n, c, h, wd), (f, c, kh, kw), f,
+                              (n, f, ho, wo))
+    kc = ConvKernel(w, b, stride, pad)
+    _, cache = conv2d_forward(x, kc)
+    gx, _, _ = conv2d_backward(g, cache, kc)
+    via_deconv, _ = deconv2d_forward(g, ConvKernel(w, np.zeros(c, dtype), stride, pad))
+    assert np.array_equal(gx[:, :, :hd, :wdd], via_deconv)
+    if (h + 2 * pad - kh) % stride == 0 and (wd + 2 * pad - kw) % stride == 0:
+        assert via_deconv.shape == x.shape
+
+
+# ---------------------------------------------------------------------------
+# The workspace: layers keep column-space scratch in per-thread buffers that
+# the next call overwrites, so nothing a layer hands out may live there.
+
+
+def _arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [a for o in obj for a in _arrays_in(o)]
+    if isinstance(obj, layers.LayerActivationCache):
+        return _arrays_in(list(obj.data.values()))
+    return []
+
+
+def _layer_round(rng, dtype):
+    """Forward and backward of every layer that takes a kernel or pools, at
+    padded, unpadded and 1x1 geometries; returns everything they hand out."""
+    out = []
+    x = rng.uniform(-1, 1, (2, 3, 9, 8)).astype(dtype)
+    for shape, stride, pad in (((4, 3, 3, 3), 1, 1), ((4, 3, 3, 2), 2, 0),
+                               ((4, 3, 1, 1), 1, 0), ((4, 3, 2, 2), 2, 2)):
+        k = ConvKernel(rng.uniform(-1, 1, shape).astype(dtype),
+                       rng.uniform(-1, 1, 4).astype(dtype), stride, pad)
+        y, cache = conv2d_forward(x, k)
+        out += [y, cache, conv2d_backward(np.ones_like(y), cache, k)]
+        kd = ConvKernel(k.weights, rng.uniform(-1, 1, 3).astype(dtype), stride, pad)
+        yd, cache = deconv2d_forward(y, kd)
+        out += [yd, cache, deconv2d_backward(np.ones_like(yd), cache, kd)]
+    y, cache = maxpool2d_forward(x, 2)
+    out += [y, cache, maxpool2d_backward(np.ones_like(y), cache)]
+    y, cache = relu_forward(x)
+    out += [y, cache, relu_backward(np.ones_like(y), cache)]
+    return _arrays_in(out)
+
+
+def test_nothing_a_layer_returns_or_caches_lives_in_the_workspace():
+    rng = np.random.default_rng(120)
+    for dtype in (np.float32, np.float64):
+        _layer_round(rng, dtype)  # grows every buffer to its size for the round
+        handed_out = _layer_round(rng, dtype)
+        scratch = list(layers._workspace.buffers.values())
+        assert {"padded", "cols"} <= {s for s, _ in layers._workspace.buffers}
+        for a in handed_out:
+            assert not any(np.shares_memory(a, buf) for buf in scratch), a.shape
+
+
+def test_a_later_conv_leaves_an_earlier_output_and_cache_intact():
+    rng = np.random.default_rng(121)
+    x1 = rng.uniform(-1, 1, (1, 2, 6, 5))
+    k1 = ConvKernel(rng.uniform(-1, 1, (3, 2, 3, 3)), rng.uniform(-1, 1, 3), 1, 1)
+    y1, cache1 = conv2d_forward(x1, k1)
+    g1 = rng.uniform(-1, 1, y1.shape)
+    grads1 = conv2d_backward(g1, cache1, k1)
+    kept = [a.copy() for a in (y1,) + grads1]
+    x2 = rng.uniform(-1, 1, (2, 4, 11, 13))
+    k2 = ConvKernel(rng.uniform(-1, 1, (5, 4, 5, 4)), rng.uniform(-1, 1, 5), 2, 3)
+    y2, cache2 = conv2d_forward(x2, k2)
+    conv2d_backward(np.ones_like(y2), cache2, k2)
+    assert np.array_equal(y1, kept[0])
+    for a, b in zip(conv2d_backward(g1, cache1, k1), kept[1:]):
+        assert np.array_equal(a, b)
+
+
+def test_threads_running_different_convs_get_the_single_thread_result():
+    """More threads than cores, each on its own geometry, switching often:
+    a workspace shared between threads would hand one thread's columns to
+    another."""
+    rng = np.random.default_rng(122)
+    cases = []
+    for xs, ws, stride, pad in (((2, 3, 17, 15), (6, 3, 3, 3), 1, 1),
+                                ((1, 5, 12, 20), (4, 5, 5, 4), 2, 2),
+                                ((3, 2, 9, 9), (3, 2, 2, 2), 1, 3)):
+        x = rng.uniform(-1, 1, xs).astype(np.float32)
+        k = ConvKernel(rng.uniform(-1, 1, ws).astype(np.float32),
+                       rng.uniform(-1, 1, ws[0]).astype(np.float32), stride, pad)
+        y, cache = conv2d_forward(x, k)
+        g = rng.uniform(-1, 1, y.shape).astype(np.float32)
+        cases.append((x, k, g, (y,) + conv2d_backward(g, cache, k)))
+    start = threading.Barrier(len(cases))
+    finished, mismatches = [], []
+
+    def run(x, k, g, want):
+        start.wait()
+        for _ in range(40):
+            y, cache = conv2d_forward(x, k)
+            got = (y,) + conv2d_backward(g, cache, k)
+            if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+                mismatches.append(x.shape)
+        finished.append(x.shape)
+
+    threads = [threading.Thread(target=run, args=case) for case in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(finished) == len(cases) and mismatches == []
