@@ -17,11 +17,11 @@ from . import metrics as metrics_mod
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      NumericsError, RfcnError, ShapeError)
 from .model import (ArchitectureConfig, PRESET_NAMES,
-                    forward_stream, init_model, load_checkpoint, load_matching,
-                    preset, save_checkpoint, shape_check)
+                    forward_stream, forward_windows, init_model, load_checkpoint,
+                    load_matching, preset, save_checkpoint, shape_check)
 from .tensor import Rng
 from .training import (TrainConfig, binary_target, evaluate, logits_to_mask,
-                       predict, train)
+                       train)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -78,6 +78,8 @@ def cmd_gen_data(args):
 
 
 def _train_config(args):
+    """The train config file's fields with the CLI flags laid over them,
+    validated once as a whole."""
     d = {}
     if args.config:
         try:
@@ -85,15 +87,13 @@ def _train_config(args):
                 d = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read train config: {e}") from e
-    cfg = TrainConfig.from_dict(d)
-    # CLI flags override the config file
-    for flag, attr in (("max_epochs", "max_epochs"), ("seed", "seed"),
-                       ("mode", "mode"), ("batch_size", "batch_size"),
-                       ("patience", "patience"), ("optimizer", "optimizer")):
-        v = getattr(args, flag, None)
+        if not isinstance(d, dict):
+            raise ConfigError("train config must be a JSON object")
+    for flag in ("max_epochs", "seed", "mode", "batch_size", "patience", "optimizer"):
+        v = getattr(args, flag)
         if v is not None:
-            setattr(cfg, attr, v)
-    return cfg
+            d[flag] = v
+    return TrainConfig.from_dict(d)
 
 
 def cmd_train(args):
@@ -163,13 +163,15 @@ def cmd_predict(args):
         raise DataError(f"need at least {T} frames, got {len(frames)}")
     os.makedirs(args.out, exist_ok=True)
     if args.stream:
-        for t, logits in forward_stream(model, frames):
-            mask = logits_to_mask(model, logits, args.threshold)
-            data_mod.write_pgm(os.path.join(args.out, f"mask_{t:04d}.pgm"), mask)
+        outputs = forward_stream(model, frames)
     else:
-        for end in range(T - 1, len(frames)):
-            mask = predict(model, frames[end - T + 1:end + 1], args.threshold)
-            data_mod.write_pgm(os.path.join(args.out, f"mask_{end:04d}.pgm"), mask)
+        # one window per end index; each frame's trunk runs once
+        ends = range(T - 1, len(frames))
+        outputs = zip(ends, forward_windows(
+            model, (frames[end - T + 1:end + 1] for end in ends)))
+    for t, logits in outputs:
+        mask = logits_to_mask(model, logits, args.threshold)
+        data_mod.write_pgm(os.path.join(args.out, f"mask_{t:04d}.pgm"), mask)
     print(f"wrote {len(frames) - T + 1} masks to {args.out}")
     return EXIT_OK
 

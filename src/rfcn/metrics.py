@@ -62,6 +62,18 @@ def accumulate(pred, truth, counts=None, category_map=None):
     return counts
 
 
+def _pooled_counts(pairs, category_map=None):
+    """Counts accumulated over all (pred, truth) pairs; no pairs is a
+    DataError, so an empty evaluation set cannot score 1.0."""
+    counts = ConfusionCounts()
+    n = 0
+    for n, (pred, truth) in enumerate(pairs, 1):
+        accumulate(pred, truth, counts, category_map=category_map)
+    if not n:
+        raise DataError("no mask pairs to evaluate")
+    return counts
+
+
 def remap(mask, category_map):
     """Map class ids to category ids; every id present must be mapped. The
     result is int64, so a category id need not fit the mask's dtype."""
@@ -107,11 +119,9 @@ def mean_class_iou(counts, class_set=None):
 def category_iou(pairs, category_map):
     """Per-category and mean IoU, tallied after remapping both masks.
 
-    pairs is an iterable of (pred, truth) mask pairs.
+    pairs is a non-empty iterable of (pred, truth) mask pairs.
     """
-    counts = ConfusionCounts()
-    for pred, truth in pairs:
-        accumulate(pred, truth, counts, category_map=category_map)
+    counts = _pooled_counts(pairs, category_map)
     per_category = {}
     for cat in counts.classes():
         tp, fp, fn = counts.get(cat)
@@ -129,12 +139,10 @@ def binary_report(counts):
 
 def evaluate_masks(pairs, per_frame=False):
     """Binary metrics over (pred, truth) pairs: pooled counts by default, or
-    the per-frame average of frame-level metrics."""
+    the per-frame average of frame-level metrics. No pairs is a DataError:
+    an empty evaluation set has no score."""
     if not per_frame:
-        counts = ConfusionCounts()
-        for pred, truth in pairs:
-            accumulate(pred, truth, counts)
-        return binary_report(counts)
+        return binary_report(_pooled_counts(pairs))
     rows = []
     for pred, truth in pairs:
         rows.append(binary_report(accumulate(pred, truth)))

@@ -501,21 +501,44 @@ class WindowCache:
     skip: dict         # link index -> score-conv cache
 
 
-def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None):
+def _check_frames(model, frames):
+    shape = model.config.input_shape
+    if len(frames) < 1:
+        raise ShapeError("window must contain at least one frame")
+    for t, f in enumerate(frames):
+        if f.shape != shape:
+            raise ShapeError(f"frame {t} shape {f.shape} != input {shape}")
+
+
+def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None,
+                features=None):
     """Run the pre-chain over frames, then the cell over their features from
     state (None: the zero state); returns (recurrent node output, final
     state). A net without a cell runs the pre-chain on the last frame only.
-    Given lists, each frame's layer and cell caches are appended to them."""
+    Given lists, each frame's layer and cell caches are appended to them.
+
+    Given a features dict (id(frame) -> (frame, pre-chain output)), a frame
+    object found in it reuses its features instead of running the pre-chain
+    again, and on return the dict holds this call's frames only. It holds
+    each frame object, so an id in it cannot be taken by another array."""
     cfg = model.config
     rec = cfg.recurrent
     if rec is None:
         frames = frames[-1:]
     feats = []
     for f in frames:
+        if features is not None and id(f) in features:
+            feats.append(features[id(f)][1])
+            continue
         x, caches = _chain_forward(model, "pre", f[None])
         feats.append(x)
         if pre_caches is not None:
             pre_caches.append(caches)
+        if features is not None:
+            features[id(f)] = (f, x)
+    if features is not None:
+        for key in features.keys() - {id(f) for f in frames}:
+            del features[key]
     if rec is None:
         return feats[-1], None
     cell = cells.CELLS[rec.kind]
@@ -534,12 +557,7 @@ def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None):
 
 def forward_window(model, frames):
     """Run T frames through the network; returns (logits (C,H,W), WindowCache)."""
-    cfg = model.config
-    if len(frames) < 1:
-        raise ShapeError("window must contain at least one frame")
-    for t, f in enumerate(frames):
-        if f.shape != cfg.input_shape:
-            raise ShapeError(f"frame {t} shape {f.shape} != input {cfg.input_shape}")
+    _check_frames(model, frames)
     pre_caches, cell_caches, skip_caches = [], [], {}
     node_out, _ = _run_frames(model, frames, None, pre_caches, cell_caches)
     # shape_check guarantees a (1, C, H, W) post-chain output
@@ -547,6 +565,24 @@ def forward_window(model, frames):
     cache = WindowCache(pre=pre_caches, cell=cell_caches, post=post_caches,
                         skip=skip_caches)
     return check_finite(x[0], "forward_window"), cache
+
+
+def forward_windows(model, windows):
+    """Inference over a series of windows: yields each window's (C,H,W)
+    logits, bitwise equal to forward_window(model, frames)[0].
+
+    The pre-chain runs once per distinct frame object across consecutive
+    windows: a frame object the previous window also held reuses its
+    features, so sliding windows over one list of frames run each frame's
+    trunk once. Frames must not change in place while the windows run. The
+    cell still starts from the zero state in every window. Logits of two
+    windows may share memory; treat them as read-only."""
+    features = {}
+    for frames in windows:
+        _check_frames(model, frames)
+        node_out, _ = _run_frames(model, frames, features=features)
+        x, _ = _chain_forward(model, "post", node_out, {})
+        yield check_finite(x[0], "forward_windows")
 
 
 def backward_window(model, grad_logits, cache):

@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .data import MASK_DTYPE
 from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import backward_window, forward_window
+from .model import backward_window, forward_window, forward_windows
 from .tensor import Rng, sigmoid
 
 LOG_COLUMNS = ("epoch", "loss", "precision", "recall", "f_measure", "iou")
@@ -131,8 +131,11 @@ class TrainConfig:
     lr: float = 0.1
 
     def __post_init__(self):
-        if self.max_epochs < 0:
-            raise ConfigError("max_epochs must be >= 0")
+        for name, low in (("max_epochs", 0), ("batch_size", 1), ("patience", 0),
+                          ("phase1_epochs", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.mode not in ("end-to-end", "decoupled"):
             raise ConfigError(f"unknown training mode {self.mode!r}")
         if self.loss not in ("binary-logistic", "multiclass-cross-entropy"):
@@ -207,18 +210,20 @@ def predict(model, frames, threshold=0.5):
 
 
 def evaluate(model, samples, threshold=0.5, per_frame=False):
-    """Binary metric report over SequenceSamples; each window's masks are
-    tallied and dropped before the next window runs."""
-    pairs = ((predict(model, s.frames, threshold), binary_target(s.target))
-             for s in samples)
+    """Binary metric report over a list of SequenceSamples; each window's
+    masks are tallied and dropped before the next window runs. Consecutive
+    windows share their frames' trunk features (model.forward_windows), so
+    sliding windows run each frame's trunk once. No samples is a DataError."""
+    logits = forward_windows(model, (s.frames for s in samples))
+    pairs = ((logits_to_mask(model, lg, threshold), binary_target(s.target))
+             for s, lg in zip(samples, logits))
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 
 
 def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step, loss_fn):
     total = 0.0
-    bs = max(cfg.batch_size, 1)
-    for start in range(0, len(order), bs):
-        batch = order[start:start + bs]
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start:start + cfg.batch_size]
         grads = None
         for idx in batch:
             s = samples[idx]

@@ -82,6 +82,33 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
     assert rc == 0
 
 
+def test_windowed_predict_matches_per_window_predict(tmp_path):
+    """Windowed `rfcn predict` shares each frame's trunk across windows; its
+    masks are byte-identical to one training.predict call per window."""
+    from rfcn import data
+    from rfcn.training import predict
+    out = str(tmp_path / "data")
+    assert main(["gen-data", "--out", out, "--sequences", "1", "--length", "6",
+                 "--seed", "6", "--train", "1"]) == 0
+    frames_dir = os.path.join(out, json.load(open(os.path.join(
+        out, "manifest.json")))["sequences"][0]["dir"], "frames")
+    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(cfg, Rng(4)), ckpt)
+    masks = str(tmp_path / "masks")
+    assert main(["predict", "--ckpt", ckpt, "--frames", frames_dir,
+                 "--out", masks]) == 0
+    model = load_checkpoint(ckpt)
+    frames = [data.read_pgm(os.path.join(frames_dir, n))[None].astype(np.float32) / 255.0
+              for n in sorted(os.listdir(frames_dir))]
+    assert sorted(os.listdir(masks)) == [f"mask_{t:04d}.pgm" for t in range(2, 6)]
+    for end in range(2, 6):
+        ref = str(tmp_path / "ref.pgm")
+        data.write_pgm(ref, predict(model, frames[end - 2:end + 1]))
+        assert open(os.path.join(masks, f"mask_{end:04d}.pgm"), "rb").read() == \
+            open(ref, "rb").read(), end
+
+
 def test_train_determinism_bitwise(tmp_path, dataset):
     arch = tiny_arch(tmp_path)
     outs = []
@@ -133,6 +160,20 @@ def test_usage_errors_exit_2(tmp_path, dataset):
         rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
                    "--window", window, "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2, window
+    # train config values out of range, from a flag or from the config file;
+    # a flag that overrides the file is validated with it
+    cfg_file = str(tmp_path / "cfg.json")
+    for config, flags in (({}, ["--max-epochs", "-1"]), ({}, ["--batch-size", "0"]),
+                          ({}, ["--patience", "-1"]),
+                          ({"phase1_epochs": -1}, ["--mode", "decoupled"]),
+                          ({"max_epochs": 3}, ["--max-epochs", "-1"]),
+                          ([1], [])):
+        open(cfg_file, "w").write(json.dumps(config))
+        out = str(tmp_path / "range.ckpt")
+        rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
+                   "--config", cfg_file, "--out", out] + flags)
+        assert rc == 2, (config, flags)
+        assert not os.path.exists(out)
 
 
 def test_runtime_errors_exit_1(tmp_path):

@@ -135,3 +135,12 @@ def test_evaluate_masks_pooled_vs_per_frame():
 def test_evaluate_masks_empty_per_frame_raises():
     with pytest.raises(DataError):
         evaluate_masks([], per_frame=True)
+
+
+def test_no_pairs_is_data_error():
+    """An empty evaluation set has no score; pooled metrics used to read 1.0."""
+    for pairs in ([], iter(())):
+        with pytest.raises(DataError):
+            evaluate_masks(pairs)
+    with pytest.raises(DataError):
+        category_iou([], {0: 0, 1: 1})

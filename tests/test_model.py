@@ -12,7 +12,7 @@ import pytest
 from rfcn.errors import CheckpointError, ConfigError, ShapeError
 from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
                         PRESET_NAMES, RecurrentSpec, SkipLink, backward_window,
-                        forward_stream, forward_window, init_model,
+                        forward_stream, forward_window, forward_windows, init_model,
                         load_checkpoint, load_matching, preset,
                         save_checkpoint, shape_check)
 from rfcn.tensor import Rng
@@ -194,6 +194,37 @@ def test_forward_stream_needs_enough_frames():
     m = init_model(small_config(), Rng(7))
     with pytest.raises(ShapeError):
         forward_stream(m, [np.zeros((1, 8, 8), dtype=np.float32)] * 2)
+
+
+def test_forward_windows_equal_forward_window_bitwise():
+    """Windows that share frame objects in every pattern the feature reuse
+    must survive: two interleaved sequences, a repeated window, windows in
+    reverse order, one frame object twice in a window, and equal-valued
+    copies of frames already seen."""
+    nets = [(f"small-{kind}", small_config(kind=kind)) for kind in SMALL_NETS]
+    nets.append(("rfcn-8s-sketch", preset("rfcn-8s-sketch")))
+    for name, cfg in nets:
+        m = init_model(cfg, Rng(20))
+        rng = Rng(21)
+        a, b = ([rng.uniform(0, 1, cfg.input_shape).astype(np.float32)
+                 for _ in range(5)] for _ in range(2))
+        windows = [w for t in range(3) for w in (a[t:t + 3], b[t:t + 3])]
+        windows += [a[1:4], a[1:4], a[2:5], a[1:4], a[0:3]]
+        windows += [[a[0], a[0], a[1]], [a[1], a[0], a[0]]]
+        windows += [[f.copy() for f in a[0:3]], a[0:3]]
+        got = list(forward_windows(m, windows))
+        assert len(got) == len(windows), name
+        for i, (frames, logits) in enumerate(zip(windows, got)):
+            ref, _ = forward_window(m, frames)
+            assert np.array_equal(logits, ref), (name, i)
+
+
+def test_forward_windows_validates_frame_shape():
+    m = init_model(small_config(), Rng(1))
+    good = [np.zeros((1, 8, 8), dtype=np.float32)] * 3
+    for bad in ([np.zeros((1, 9, 9), dtype=np.float32)], []):
+        with pytest.raises(ShapeError):
+            list(forward_windows(m, [good, bad]))
 
 
 def test_skip_link_contributes_to_output():

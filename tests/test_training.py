@@ -183,6 +183,18 @@ def test_train_config_rejects_bad_mode_and_loss():
         TrainConfig(loss="hinge")
 
 
+def test_train_config_rejects_out_of_range_counts():
+    """A batch of 0 used to mean 1, a patience of -1 acted like 1 and a
+    phase 1 of -1 epochs ran max_epochs + 1 epochs in decoupled mode; a
+    count that is not an integer failed later with a TypeError."""
+    for field, value in (("max_epochs", -1), ("batch_size", 0), ("patience", -1),
+                         ("phase1_epochs", -1), ("max_epochs", "3"),
+                         ("patience", None)):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict({field: value})
+    TrainConfig(max_epochs=0, batch_size=1, patience=0, phase1_epochs=0)
+
+
 def test_train_log_csv_layout():
     log = TrainLog()
     log.append(0, 0.5, {"precision": 1.0, "recall": 0.5, "f_measure": 2 / 3,
@@ -322,3 +334,34 @@ def test_evaluate_matches_evaluate_masks_on_listed_pairs():
     for per_frame in (False, True):
         assert evaluate(m, samples, per_frame=per_frame) == \
             metrics.evaluate_masks(pairs, per_frame=per_frame)
+
+
+def test_evaluate_without_samples_is_data_error():
+    m = init_model(tiny_config(), Rng(1))
+    for per_frame in (False, True):
+        with pytest.raises(DataError):
+            evaluate(m, [], per_frame=per_frame)
+
+
+def test_evaluate_runs_each_frames_trunk_once(monkeypatch):
+    """Sliding windows over two sequences of L frames run the first trunk
+    conv once per frame (2L), not T times per window; one predict call
+    still runs it T times."""
+    import rfcn.model as model_mod
+    length, window = 6, 3
+    m = init_model(tiny_config(window=window), Rng(2))
+    samples = tiny_samples(2, Rng(515), length=length, window=window)
+    calls = []
+    real = model_mod.conv2d_forward
+
+    def counted(x, k):
+        if k.weights is m.params["pre.0.conv.weights"]:
+            calls.append(x.shape)
+        return real(x, k)
+
+    monkeypatch.setattr(model_mod, "conv2d_forward", counted)
+    evaluate(m, samples)
+    assert len(calls) == 2 * length
+    calls.clear()
+    predict(m, samples[0].frames)
+    assert len(calls) == window
