@@ -9,8 +9,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import data as data_mod
 from . import gradcheck
 from . import metrics as metrics_mod
@@ -151,13 +149,7 @@ def cmd_predict(args):
     names = sorted(os.listdir(seq_dir))
     if not names:
         raise DataError(f"no frames in {seq_dir}")
-    frames = []
-    for n in names:
-        p = os.path.join(seq_dir, n)
-        if n.endswith(".ppm"):
-            frames.append(data_mod.read_ppm(p).astype(np.float32) / 255.0)
-        else:
-            frames.append(data_mod.read_pgm(p)[None].astype(np.float32) / 255.0)
+    frames = [data_mod.read_frame(os.path.join(seq_dir, n)) for n in names]
     T = model.config.window
     if len(frames) < T:
         raise DataError(f"need at least {T} frames, got {len(frames)}")

@@ -312,6 +312,14 @@ def read_ppm(path):
     return _read_netpbm(path, "P6")
 
 
+def read_frame(path):
+    """One frame file as a (C, H, W) float32 array in [0, 1]: a .ppm file is
+    read as RGB, any other as a PGM."""
+    if path.endswith(".ppm"):
+        return read_ppm(path).astype(np.float32) / 255.0
+    return read_pgm(path)[None].astype(np.float32) / 255.0
+
+
 # ---------------------------------------------------------------------------
 # Sequence directories
 
@@ -343,11 +351,7 @@ def load_frame_directory(frames_dir, masks_dir, source_id=""):
     frames = []
     masks = []
     for fn, mn in zip(fnames, mnames):
-        fpath = os.path.join(frames_dir, fn)
-        if fn.endswith(".ppm"):
-            frame = read_ppm(fpath).astype(np.float32) / 255.0
-        else:
-            frame = read_pgm(fpath)[None].astype(np.float32) / 255.0
+        frame = read_frame(os.path.join(frames_dir, fn))
         # an owned, writable copy: the reader returns a read-only view
         mask = read_pgm(os.path.join(masks_dir, mn)).astype(MASK_DTYPE)
         if frame.shape[1:] != mask.shape:

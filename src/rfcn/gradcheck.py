@@ -11,9 +11,8 @@ import numpy as np
 from . import cells
 from .errors import RfcnError
 from .layers import (ConvKernel, conv2d_backward, conv2d_forward,
-                     deconv2d_backward, deconv2d_forward, dense_backward,
-                     dense_forward, maxpool2d_backward, maxpool2d_forward,
-                     relu_backward, relu_forward)
+                     deconv2d_backward, deconv2d_forward, maxpool2d_backward,
+                     maxpool2d_forward, relu_backward, relu_forward)
 from .model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
                     backward_window, forward_window, init_model, shape_check)
 from .tensor import Rng
@@ -120,29 +119,12 @@ def audit_relu(rng):
     return fd_check(loss_fn, {"input": x}, {"input": gx}, rng)
 
 
-def audit_dense(rng):
-    x = rng.uniform(-1, 1, 7)
-    w = rng.uniform(-1, 1, (5, 7))
-    b = rng.uniform(-1, 1, 5)
-    wout = _weighted_sum(5, rng)
-
-    def loss_fn():
-        y, _ = dense_forward(x, w, b)
-        return float((y * wout).sum())
-
-    _, cache = dense_forward(x, w, b)
-    gx, gw, gb = dense_backward(wout, cache, w)
-    return fd_check(loss_fn, {"input": x, "weights": w, "bias": b},
-                    {"input": gx, "weights": gw, "bias": gb}, rng)
-
-
 def audit_layers(rng):
     out = {}
     for tag, res in (("conv", audit_conv(rng)),
                      ("deconv", audit_conv(rng, deconv=True)),
                      ("pool", audit_pool(rng)),
-                     ("relu", audit_relu(rng)),
-                     ("dense", audit_dense(rng))):
+                     ("relu", audit_relu(rng))):
         for k, v in res.items():
             out[f"{tag}.{k}"] = v
     return out

@@ -12,7 +12,7 @@ tile the image (stride equal to the kernel size, no remainder) is a transpose
 of the columns instead of a loop over kernel offsets.
 
 Forward passes do only forward work. Conv caches its unpadded input, deconv
-and dense theirs, relu its output, and conv2d_backward rebuilds the padded
+its input, relu its output, and conv2d_backward rebuilds the padded
 im2col columns from the input. Max-pool keeps its input and output; its
 backward finds each window's first maximum again by comparing them.
 
@@ -288,24 +288,6 @@ def relu_backward(grad_out, cache):
     if grad_out.shape != cache.input_shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != {cache.input_shape}")
     return grad_out * (cache.data["y"] > 0)
-
-
-def dense_forward(x, w, b):
-    """Affine map W x + b on a rank-1 input."""
-    if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.shape[0]:
-        raise ShapeError(f"dense shapes incompatible: W {w.shape}, x {x.shape}")
-    y = w @ x + b
-    cache = LayerActivationCache(x.shape, {"x": x})
-    return y, cache
-
-
-def dense_backward(grad_out, cache, w):
-    x = cache.data["x"]
-    if grad_out.shape[0] != w.shape[0]:
-        raise ShapeError(f"grad_out length {grad_out.shape} != {w.shape[0]}")
-    grad_x = w.T @ grad_out
-    grad_w = np.outer(grad_out, x)
-    return grad_x, grad_w, grad_out.copy()
 
 
 def flatten(x):

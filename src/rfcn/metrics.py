@@ -17,7 +17,7 @@ FOREGROUND = 1
 
 @dataclass
 class ConfusionCounts:
-    """Per-class tp/fp/fn accumulators; merging shards is plain addition."""
+    """Per-class tp/fp/fn accumulators."""
 
     tp: dict = field(default_factory=dict)
     fp: dict = field(default_factory=dict)
@@ -28,13 +28,6 @@ class ConfusionCounts:
 
     def get(self, cls):
         return (self.tp.get(cls, 0), self.fp.get(cls, 0), self.fn.get(cls, 0))
-
-    def merge(self, other):
-        for d_self, d_other in ((self.tp, other.tp), (self.fp, other.fp),
-                                (self.fn, other.fn)):
-            for k, v in d_other.items():
-                d_self[k] = d_self.get(k, 0) + v
-        return self
 
 
 def accumulate(pred, truth, counts=None, category_map=None):

@@ -1,11 +1,19 @@
-"""Declarative architectures, presets, the sliding-window executor, and
+"""Declarative architectures, presets, the frame-by-frame executor, and
 checkpoint serialization.
 
 An architecture is a pre-recurrent layer chain applied to every frame, at
-most one recurrent node, and a post-recurrent chain applied to the final
-hidden state only. Skip links route an early post-chain feature map through
-a 1x1 score conv and add it to a later layer's output. Both chains and the
-score convs run through one forward and one backward walker. Layer functions
+most one recurrent node, and a post-recurrent chain applied to the hidden
+state of each frame whose segmentation is asked for. Skip links route an
+early post-chain feature map through a 1x1 score conv and add it to a later
+layer's output. Both chains and the score convs run through one forward and
+one backward walker.
+
+One forward loop serves all inference and training: a window
+(forward_window, for BPTT) is a stream that starts from the zero state and
+emits its last frame only; a series of windows (forward_windows) runs that
+loop once per window, sharing the pre-chain features of frame objects that
+consecutive windows hold; a stream (forward_stream) carries the state across
+the whole sequence and emits every frame from window-1 on. Layer functions
 are called through this module's attributes, which profilers and the
 gradient audit's kink probe rebind.
 """
@@ -24,16 +32,14 @@ from .data import MAX_CLASS_ID
 from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (ConvKernel, bilinear_kernel, conv2d_backward, conv2d_forward,
                      conv_output_dim, deconv2d_backward, deconv2d_forward,
-                     deconv_output_dim, dense_backward, dense_forward, flatten,
-                     maxpool2d_backward, maxpool2d_forward, relu_backward,
-                     relu_forward, unflatten)
+                     deconv_output_dim, flatten, maxpool2d_backward,
+                     maxpool2d_forward, relu_backward, relu_forward, unflatten)
 from .tensor import check_finite, fill_random
 
 CHECKPOINT_MAGIC = b"RFCN"
 CHECKPOINT_VERSION = 1
 
-LAYER_KINDS = ("conv", "conv1x1", "deconv", "pool", "relu", "dense", "flatten",
-               "unflatten")
+LAYER_KINDS = ("conv", "conv1x1", "deconv", "pool", "relu", "flatten", "unflatten")
 CELL_KINDS = tuple(cells.CELLS)
 
 
@@ -46,7 +52,6 @@ class LayerSpec:
     stride: int = 0  # 0 = default (1 for conv/deconv, window size for pool)
     pad: int = 0
     depth: int = 0
-    units: int = 0
     target_shape: tuple = None
 
     def __post_init__(self):
@@ -62,7 +67,7 @@ class LayerSpec:
 
     def to_dict(self):
         d = {"kind": self.kind}
-        for k in ("size", "stride", "pad", "depth", "units"):
+        for k in ("size", "stride", "pad", "depth"):
             v = getattr(self, k)
             if v:
                 d[k] = v
@@ -74,7 +79,7 @@ class LayerSpec:
     def from_dict(cls, d):
         return cls(kind=d["kind"], size=d.get("size", 0), stride=d.get("stride", 0),
                    pad=d.get("pad", 0), depth=d.get("depth", 0),
-                   units=d.get("units", 0), target_shape=d.get("target_shape"))
+                   target_shape=d.get("target_shape"))
 
 
 @dataclass
@@ -230,12 +235,6 @@ def _layer_output_shape(spec, shape):
             raise ConfigError(
                 f"unflatten target {spec.target_shape} != vector length {dims[0]}")
         return ("chw", spec.target_shape), params
-    if spec.kind == "dense":
-        if kind != "vec":
-            raise ConfigError("dense needs a vector input")
-        params["weights"] = (spec.units, dims[0])
-        params["bias"] = (spec.units,)
-        return ("vec", (spec.units,)), params
     raise ConfigError(f"unknown layer kind {spec.kind!r}")
 
 
@@ -327,9 +326,6 @@ class ModelInstance:
     params: "OrderedDict[str, np.ndarray]"
     dtype: object = np.float32
 
-    def param_names(self):
-        return list(self.params.keys())
-
     def cell_params(self):
         rec = self.config.recurrent
         d = {k.split(".", 1)[1]: v for k, v in self.params.items()
@@ -372,7 +368,7 @@ def _cell_init(suffix, shape, rng, dtype):
 
 
 def init_model(config, rng, dtype=np.float32):
-    """Instantiate a config: fan-in-scaled conv/dense/cell weights, bilinear
+    """Instantiate a config: fan-in-scaled conv and cell weights, bilinear
     deconv weights, zero biases."""
     report = shape_check(config)
     params = OrderedDict()
@@ -420,8 +416,6 @@ def _layer_forward(spec, params, prefix, x):
         return flatten(x), x.shape
     if kind == "unflatten":
         return unflatten(x, (1,) + spec.target_shape), x.shape
-    if kind == "dense":
-        return dense_forward(x, params[f"{prefix}.weights"], params[f"{prefix}.bias"])
     raise ConfigError(f"unknown layer kind {kind!r}")
 
 
@@ -435,11 +429,8 @@ def _layer_backward(spec, params, prefix, grad, cache, grads):
         return relu_backward(grad, cache)
     if kind in ("flatten", "unflatten"):
         return grad.reshape(cache)
-    if kind == "dense":
-        gx, gw, gb = dense_backward(grad, cache, params[f"{prefix}.weights"])
-    else:
-        backward = deconv2d_backward if kind == "deconv" else conv2d_backward
-        gx, gw, gb = backward(grad, cache, _kernel(spec, params, prefix))
+    backward = deconv2d_backward if kind == "deconv" else conv2d_backward
+    gx, gw, gb = backward(grad, cache, _kernel(spec, params, prefix))
     grads[f"{prefix}.weights"] += gw
     grads[f"{prefix}.bias"] += gb
     return gx
@@ -510,61 +501,62 @@ def _check_frames(model, frames):
             raise ShapeError(f"frame {t} shape {f.shape} != input {shape}")
 
 
-def _run_frames(model, frames, state=None, pre_caches=None, cell_caches=None,
-                features=None):
-    """Run the pre-chain over frames, then the cell over their features from
-    state (None: the zero state); returns (recurrent node output, final
-    state). A net without a cell runs the pre-chain on the last frame only.
-    Given lists, each frame's layer and cell caches are appended to them.
+def _forward(model, frames, emit_from, cache=None, features=None):
+    """The one forward loop: frame by frame, run the pre chain, step the cell
+    from the zero state, and for every t >= emit_from run the post chain and
+    yield (t, logits (C,H,W)). A net without a cell skips the frames before
+    emit_from.
 
-    Given a features dict (id(frame) -> (frame, pre-chain output)), a frame
-    object found in it reuses its features instead of running the pre-chain
-    again, and on return the dict holds this call's frames only. It holds
-    each frame object, so an id in it cannot be taken by another array."""
-    cfg = model.config
-    rec = cfg.recurrent
-    if rec is None:
-        frames = frames[-1:]
-    feats = []
-    for f in frames:
+    Given a WindowCache, each frame's layer and cell caches and the last
+    emission's post-chain caches go into it. Given a features dict
+    (id(frame) -> (frame, pre-chain output)), a frame object found in it
+    reuses its features, and a frame that runs the pre chain adds its entry.
+    An entry holds its frame object, so its id cannot be taken by another
+    array while the entry lives."""
+    _check_frames(model, frames)
+    rec = model.config.recurrent
+    if rec is not None:
+        cell = cells.CELLS[rec.kind]
+        # spatial pre-chain outputs and post-chain inputs carry a batch dim of 1
+        spatial = cell.input_form == "chw"
+        p = model.cell_params()
+        state = None
+    for t in range(0 if rec else emit_from, len(frames)):
+        f = frames[t]
         if features is not None and id(f) in features:
-            feats.append(features[id(f)][1])
-            continue
-        x, caches = _chain_forward(model, "pre", f[None])
-        feats.append(x)
-        if pre_caches is not None:
-            pre_caches.append(caches)
-        if features is not None:
-            features[id(f)] = (f, x)
-    if features is not None:
-        for key in features.keys() - {id(f) for f in frames}:
-            del features[key]
-    if rec is None:
-        return feats[-1], None
-    cell = cells.CELLS[rec.kind]
-    # spatial pre-chain outputs and post-chain inputs carry a batch dim of 1
-    spatial = cell.input_form == "chw"
-    p = model.cell_params()
-    for x in feats:
-        x = x[0] if spatial else x
-        if state is None:
-            state = cell.zero_state((rec.hidden,) + x.shape[1:], model.dtype)
-        state, cache = cell.step(x, state, p)
-        if cell_caches is not None:
-            cell_caches.append(cache)
-    return (state.h[None] if spatial else state.h), state
+            x = features[id(f)][1]
+        else:
+            x, layer_caches = _chain_forward(model, "pre", f[None])
+            if cache is not None:
+                cache.pre.append(layer_caches)
+            if features is not None:
+                features[id(f)] = (f, x)
+        if rec is not None:
+            x = x[0] if spatial else x
+            if state is None:
+                state = cell.zero_state((rec.hidden,) + x.shape[1:], model.dtype)
+            state, step_cache = cell.step(x, state, p)
+            if cache is not None:
+                cache.cell.append(step_cache)
+            x = state.h[None] if spatial else state.h
+        # a suspended generator keeps its locals alive: unbind the caches
+        # once stored, so a stream holds none of them across frames
+        layer_caches = step_cache = None
+        if t >= emit_from:
+            # shape_check guarantees a (1, C, H, W) post-chain output
+            x, layer_caches = _chain_forward(
+                model, "post", x, {} if cache is None else cache.skip)
+            if cache is not None:
+                cache.post = layer_caches
+            layer_caches = None
+            yield t, check_finite(x[0], f"logits of frame {t}")
 
 
 def forward_window(model, frames):
     """Run T frames through the network; returns (logits (C,H,W), WindowCache)."""
-    _check_frames(model, frames)
-    pre_caches, cell_caches, skip_caches = [], [], {}
-    node_out, _ = _run_frames(model, frames, None, pre_caches, cell_caches)
-    # shape_check guarantees a (1, C, H, W) post-chain output
-    x, post_caches = _chain_forward(model, "post", node_out, skip_caches)
-    cache = WindowCache(pre=pre_caches, cell=cell_caches, post=post_caches,
-                        skip=skip_caches)
-    return check_finite(x[0], "forward_window"), cache
+    cache = WindowCache(pre=[], cell=[], post=[], skip={})
+    ((_, logits),) = _forward(model, frames, len(frames) - 1, cache)
+    return logits, cache
 
 
 def forward_windows(model, windows):
@@ -579,10 +571,10 @@ def forward_windows(model, windows):
     windows may share memory; treat them as read-only."""
     features = {}
     for frames in windows:
-        _check_frames(model, frames)
-        node_out, _ = _run_frames(model, frames, features=features)
-        x, _ = _chain_forward(model, "post", node_out, {})
-        yield check_finite(x[0], "forward_windows")
+        ((_, logits),) = _forward(model, frames, len(frames) - 1, features=features)
+        # the next window can share only this window's frames
+        features = {id(f): features[id(f)] for f in frames if id(f) in features}
+        yield logits
 
 
 def backward_window(model, grad_logits, cache):
@@ -608,23 +600,13 @@ def backward_window(model, grad_logits, cache):
     return grads
 
 
-def forward_stream(model, frames, emit_from=None):
-    """Streaming inference: carry the hidden state across all frames and emit
-    logits for every frame index >= window-1 (or emit_from)."""
-    cfg = model.config
-    start = max(cfg.window - 1 if emit_from is None else emit_from, 0)
-    if len(frames) < cfg.window:
-        raise ShapeError(f"need at least {cfg.window} frames, got {len(frames)}")
-    out = []
-    state = None
-    seen = 0
-    for t in range(start, len(frames)):
-        # each call runs the frames not yet seen: 0..start first, then one
-        node_out, state = _run_frames(model, frames[seen:t + 1], state)
-        seen = t + 1
-        x, _ = _chain_forward(model, "post", node_out, {})
-        out.append((t, check_finite(x[0], "forward_window")))
-    return out
+def forward_stream(model, frames):
+    """Streaming inference: carry the hidden state across all frames and
+    return [(t, logits (C,H,W))] for every frame index t >= window-1."""
+    window = model.config.window
+    if len(frames) < window:
+        raise ShapeError(f"need at least {window} frames, got {len(frames)}")
+    return list(_forward(model, frames, window - 1))
 
 
 # ---------------------------------------------------------------------------

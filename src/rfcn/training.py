@@ -119,7 +119,7 @@ class TrainConfig:
     max_epochs: int = 500
     batch_size: int = 1
     mode: str = "end-to-end"  # end-to-end | decoupled
-    phase1_epochs: int = 0    # decoupled only; 0 = half of max_epochs
+    phase1_epochs: int = 0    # decoupled only, at most max_epochs; 0 = half of it
     freeze: list = field(default_factory=list)  # fnmatch patterns
     loss: str = "binary-logistic"  # binary-logistic | multiclass-cross-entropy
     seed: int = 0
@@ -138,6 +138,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.mode not in ("end-to-end", "decoupled"):
             raise ConfigError(f"unknown training mode {self.mode!r}")
+        if self.mode == "decoupled" and self.phase1_epochs > self.max_epochs:
+            raise ConfigError(f"phase1_epochs {self.phase1_epochs} exceeds "
+                              f"max_epochs {self.max_epochs}")
         if self.loss not in ("binary-logistic", "multiclass-cross-entropy"):
             raise ConfigError(f"unknown loss {self.loss!r}")
 

@@ -160,6 +160,7 @@ def moving_digit_dataset(tmp_path_factory):
     return tr, te
 
 
+@pytest.mark.slow
 def test_acceptance_5_moving_digit_trend(moving_digit_dataset):
     """500 train / 200 test sequences (T=3, seed 42); FC-Lenet and RFC-Lenet
     trained identically (Adadelta defaults, <= 100 epochs, early stop).
@@ -235,6 +236,7 @@ def toy_12s_dataset():
     return tr, te
 
 
+@pytest.mark.slow
 def test_acceptance_6_end_to_end_vs_decoupled(toy_12s_dataset, tmp_path):
     """Both training modes complete on a small 12s-style net; decoupled
     phase 1 leaves frozen tensors bitwise unchanged; both recurrent variants

@@ -4,6 +4,7 @@ exit codes."""
 import json
 import os
 from collections import OrderedDict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
     rc = main(["predict", "--ckpt", ckpt, "--frames", frames_dir,
                "--out", str(tmp_path / "masks2"), "--stream"])
     assert rc == 0
+
+
+def test_predict_rejects_frames_of_the_wrong_size(tmp_path):
+    """Windowed and streamed predict both exit 1 on frames the checkpoint's
+    input shape does not take, and write no mask. The nets are fully
+    convolutional, so nothing but the frame check stops a 56x56 frame."""
+    from rfcn import data
+    frames_dir = str(tmp_path / "frames")
+    os.makedirs(frames_dir)
+    for t in range(4):
+        data.write_pgm(os.path.join(frames_dir, f"frame_{t:04d}.pgm"),
+                       np.zeros((56, 56), dtype=np.float32))
+    for recurrent in (None, RecurrentSpec("conv_gru", hidden=2, kernel=3)):
+        cfg = ArchitectureConfig(
+            name="cli-conv", input_shape=(1, 28, 28), num_classes=1, window=3,
+            pre=[LayerSpec("conv", size=3, pad=1, depth=2), LayerSpec("relu")],
+            recurrent=recurrent, post=[LayerSpec("conv1x1", depth=1)])
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(cfg, Rng(4)), ckpt)
+        for flags in ([], ["--stream"]):
+            out = str(tmp_path / f"masks-{recurrent is None}-{len(flags)}")
+            rc = main(["predict", "--ckpt", ckpt, "--frames", frames_dir,
+                       "--out", out] + flags)
+            assert rc == 1, (recurrent, flags)
+            assert not os.path.exists(out) or not os.listdir(out), (recurrent, flags)
 
 
 def test_windowed_predict_matches_per_window_predict(tmp_path):
@@ -167,6 +193,8 @@ def test_usage_errors_exit_2(tmp_path, dataset):
                           ({}, ["--patience", "-1"]),
                           ({"phase1_epochs": -1}, ["--mode", "decoupled"]),
                           ({"max_epochs": 3}, ["--max-epochs", "-1"]),
+                          ({"phase1_epochs": 5}, ["--mode", "decoupled",
+                                                  "--max-epochs", "2"]),
                           ([1], [])):
         open(cfg_file, "w").write(json.dumps(config))
         out = str(tmp_path / "range.ckpt")
@@ -174,6 +202,16 @@ def test_usage_errors_exit_2(tmp_path, dataset):
                    "--config", cfg_file, "--out", out] + flags)
         assert rc == 2, (config, flags)
         assert not os.path.exists(out)
+    # a dense layer: the kind is gone, and an FCN has none
+    doc = json.load(open(tiny_arch(tmp_path)))
+    doc["post"].insert(0, {"kind": "dense", "units": 784})
+    dense = str(tmp_path / "dense.json")
+    open(dense, "w").write(json.dumps(doc))
+    out = str(tmp_path / "dense.ckpt")
+    rc = main(["train", "--arch", dense, "--data", dataset, "--out", out,
+               "--max-epochs", "1"])
+    assert rc == 2
+    assert not os.path.exists(out)
 
 
 def test_runtime_errors_exit_1(tmp_path):
@@ -208,6 +246,18 @@ def test_corrupt_embedded_config_exits_1(tmp_path, dataset):
         rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
                    "--report", str(tmp_path / "r.json")])
         assert rc == 1, corrupt.__name__
+    # a dense layer with the tensors one had: the layer kind is gone
+    doc = json.load(open(tiny_arch(tmp_path)))
+    doc["post"].insert(0, {"kind": "dense", "units": 784})
+    params = init_model(ArchitectureConfig.from_dict(json.load(
+        open(tiny_arch(tmp_path)))), Rng(3)).params
+    params["post.0.dense.weights"] = np.zeros((784, 784), np.float32)
+    params["post.0.dense.bias"] = np.zeros(784, np.float32)
+    config = SimpleNamespace(to_json=lambda: json.dumps(doc))
+    save_checkpoint(ModelInstance(config, params), ckpt)
+    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
 
 
 def test_checkpoint_with_too_many_classes_exits_1(tmp_path, dataset):

@@ -1,4 +1,4 @@
-"""Layer tests: nested-loop convolution oracles, adjointness, pooling, dense,
+"""Layer tests: nested-loop convolution oracles, adjointness, pooling,
 property tests over random geometry, and the scratch workspace's contract."""
 
 import sys
@@ -14,10 +14,9 @@ from rfcn import layers
 from rfcn.errors import ShapeError
 from rfcn.layers import (ConvKernel, bilinear_kernel, conv2d_backward,
                          conv2d_forward, conv_output_dim, deconv2d_backward,
-                         deconv2d_forward, deconv_output_dim, dense_backward,
-                         dense_forward, flatten, maxpool2d_backward,
-                         maxpool2d_forward, relu_backward, relu_forward,
-                         unflatten)
+                         deconv2d_forward, deconv_output_dim, flatten,
+                         maxpool2d_backward, maxpool2d_forward, relu_backward,
+                         relu_forward, unflatten)
 from rfcn.tensor import Rng
 
 
@@ -336,20 +335,6 @@ def test_relu_forward_backward():
     npt.assert_array_equal(y, np.maximum(x, 0))
     g = rng.uniform(-1, 1, x.shape)
     npt.assert_array_equal(relu_backward(g, cache), g * (x > 0))
-
-
-def test_dense_forward_backward_oracle():
-    rng = Rng(107)
-    x = rng.uniform(-1, 1, 7)
-    w = rng.uniform(-1, 1, (5, 7))
-    b = rng.uniform(-1, 1, 5)
-    y, cache = dense_forward(x, w, b)
-    npt.assert_allclose(y, w @ x + b, atol=1e-12)
-    g = rng.uniform(-1, 1, 5)
-    gx, gw, gb = dense_backward(g, cache, w)
-    npt.assert_allclose(gx, w.T @ g, atol=1e-12)
-    npt.assert_allclose(gw, np.outer(g, x), atol=1e-12)
-    npt.assert_allclose(gb, g, atol=1e-12)
 
 
 def test_flatten_unflatten_roundtrip():

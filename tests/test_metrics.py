@@ -64,18 +64,6 @@ def test_nonempty_vs_empty_scores_zero():
     assert iou(counts) == 0.0
 
 
-def test_merge_equals_joint_accumulation():
-    rng = Rng(302)
-    a_pred = (rng.uniform(0, 1, (6, 6)) > 0.5).astype(int)
-    a_tr = (rng.uniform(0, 1, (6, 6)) > 0.5).astype(int)
-    b_pred = (rng.uniform(0, 1, (6, 6)) > 0.5).astype(int)
-    b_tr = (rng.uniform(0, 1, (6, 6)) > 0.5).astype(int)
-    joint = accumulate(b_pred, b_tr, accumulate(a_pred, a_tr))
-    merged = accumulate(a_pred, a_tr).merge(accumulate(b_pred, b_tr))
-    for cls in joint.classes():
-        assert joint.get(cls) == merged.get(cls)
-
-
 def test_remap_requires_complete_map():
     mask = np.array([[0, 1], [2, 0]])
     out = remap(mask, {0: 0, 1: 7, 2: 7})

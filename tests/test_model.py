@@ -196,6 +196,22 @@ def test_forward_stream_needs_enough_frames():
         forward_stream(m, [np.zeros((1, 8, 8), dtype=np.float32)] * 2)
 
 
+def test_forward_stream_validates_frame_shape():
+    """Streaming runs the same frame checks as a window: a frame of the
+    wrong size is a ShapeError wherever it sits in the sequence, for a net
+    with a cell and one without."""
+    good = np.zeros((1, 8, 8), dtype=np.float32)
+    for kind in ("gru", "conv_gru", None):
+        m = init_model(small_config(kind=kind), Rng(7))
+        for bad in (np.zeros((1, 16, 16), dtype=np.float32),
+                    np.zeros((3, 8, 8), dtype=np.float32)):
+            for at in (0, 4):
+                frames = [good] * 5
+                frames[at] = bad
+                with pytest.raises(ShapeError):
+                    forward_stream(m, frames)
+
+
 def test_forward_windows_equal_forward_window_bitwise():
     """Windows that share frame objects in every pattern the feature reuse
     must survive: two interleaved sequences, a repeated window, windows in

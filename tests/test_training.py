@@ -184,15 +184,19 @@ def test_train_config_rejects_bad_mode_and_loss():
 
 
 def test_train_config_rejects_out_of_range_counts():
-    """A batch of 0 used to mean 1, a patience of -1 acted like 1 and a
-    phase 1 of -1 epochs ran max_epochs + 1 epochs in decoupled mode; a
-    count that is not an integer failed later with a TypeError."""
+    """A batch of 0 used to mean 1, a patience of -1 acted like 1, a phase 1
+    of -1 epochs ran max_epochs + 1 epochs in decoupled mode and one longer
+    than max_epochs ran phase1_epochs epochs; a count that is not an integer
+    failed later with a TypeError."""
     for field, value in (("max_epochs", -1), ("batch_size", 0), ("patience", -1),
                          ("phase1_epochs", -1), ("max_epochs", "3"),
                          ("patience", None)):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({field: value})
+    with pytest.raises(ConfigError):
+        TrainConfig(max_epochs=2, phase1_epochs=5, mode="decoupled")
     TrainConfig(max_epochs=0, batch_size=1, patience=0, phase1_epochs=0)
+    TrainConfig(max_epochs=2, phase1_epochs=2, mode="decoupled")
 
 
 def test_train_log_csv_layout():
