@@ -14,7 +14,7 @@ from . import gradcheck
 from . import metrics as metrics_mod
 from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
                      NumericsError, RfcnError, ShapeError)
-from .model import (ArchitectureConfig, PRESET_NAMES,
+from .model import (ArchitectureConfig, PRESET_NAMES, check_frames,
                     forward_stream, forward_windows, init_model, load_checkpoint,
                     load_matching, preset, save_checkpoint, shape_check)
 from .tensor import Rng
@@ -153,6 +153,8 @@ def cmd_predict(args):
     T = model.config.window
     if len(frames) < T:
         raise DataError(f"need at least {T} frames, got {len(frames)}")
+    # every frame before any output, so a bad frame leaves no partial masks
+    check_frames(model, frames)
     os.makedirs(args.out, exist_ok=True)
     if args.stream:
         outputs = forward_stream(model, frames)

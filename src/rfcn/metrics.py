@@ -1,88 +1,85 @@
-"""Segmentation metrics: confusion accumulation, precision/recall/F-measure,
-IoU, mean-class IoU, and category IoU.
+"""Segmentation metrics as reductions of one confusion matrix:
+precision/recall/F-measure, IoU, mean-class IoU, and category IoU.
 
 Zero-denominator conventions (documented and test-pinned): an empty
 prediction matched against an empty truth scores 1.0; a non-empty prediction
 against an empty truth scores 0.0.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
+from .data import MAX_CLASS_ID
 from .errors import DataError, ShapeError
 
 FOREGROUND = 1
 
 
-@dataclass
 class ConfusionCounts:
-    """Per-class tp/fp/fn accumulators."""
+    """An int64 confusion matrix: matrix[truth id, predicted id] counts the
+    pixels with that pair. It is K x K, K the largest id seen plus 1, and
+    0 x 0 until a mask pair is added."""
 
-    tp: dict = field(default_factory=dict)
-    fp: dict = field(default_factory=dict)
-    fn: dict = field(default_factory=dict)
+    def __init__(self):
+        self.matrix = np.zeros((0, 0), dtype=np.int64)
 
     def classes(self):
-        return sorted(set(self.tp) | set(self.fp) | set(self.fn))
+        """The ids present in a prediction or a truth, ascending."""
+        return list(_ious(self.matrix))
 
     def get(self, cls):
-        return (self.tp.get(cls, 0), self.fp.get(cls, 0), self.fn.get(cls, 0))
+        """(tp, fp, fn) of one class id, as Python ints."""
+        if not 0 <= cls < len(self.matrix):
+            return 0, 0, 0
+        tp = int(self.matrix[cls, cls])
+        return tp, int(self.matrix[:, cls].sum()) - tp, int(self.matrix[cls].sum()) - tp
 
 
-def accumulate(pred, truth, counts=None, category_map=None):
-    """Add a per-pixel comparison of two class-id masks to the counts.
+def _ious(matrix):
+    """{id: IoU} for every id with a non-zero union: its row and column sums
+    less the diagonal, tp + fp + fn."""
+    tp = np.diag(matrix)
+    union = matrix.sum(0) + matrix.sum(1) - tp
+    return {int(c): int(tp[c]) / int(union[c]) for c in np.flatnonzero(union)}
 
-    With category_map, both masks are remapped to categories before tallying
-    (within-category confusions count as true positives).
-    """
+
+def accumulate(pred, truth, counts=None):
+    """Add a per-pixel comparison of two class-id masks to the counts: one
+    bincount of truth * K + pred. Masks must hold integer ids in
+    0..MAX_CLASS_ID."""
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise ShapeError(f"pred shape {pred.shape} != truth shape {truth.shape}")
-    if counts is None:
-        counts = ConfusionCounts()
-    if category_map is not None:
-        pred = remap(pred, category_map)
-        truth = remap(truth, category_map)
-    for cls in np.union1d(np.unique(pred), np.unique(truth)):
-        cls = int(cls)
-        p = pred == cls
-        t = truth == cls
-        counts.tp[cls] = counts.tp.get(cls, 0) + int(np.sum(p & t))
-        counts.fp[cls] = counts.fp.get(cls, 0) + int(np.sum(p & ~t))
-        counts.fn[cls] = counts.fn.get(cls, 0) + int(np.sum(~p & t))
+    if not all(np.issubdtype(m.dtype, np.integer) for m in (pred, truth)):
+        raise DataError(f"masks of dtype {pred.dtype}, {truth.dtype} do not hold class ids")
+    lo = min(pred.min(initial=0), truth.min(initial=0))
+    hi = max(pred.max(initial=0), truth.max(initial=0))
+    if lo < 0 or hi > MAX_CLASS_ID:
+        raise DataError(f"class ids span {lo}..{hi}, outside 0..{MAX_CLASS_ID}")
+    counts = ConfusionCounts() if counts is None else counts
+    n = len(counts.matrix)
+    k = max(int(hi) + 1, n)
+    flat = truth.ravel().astype(np.intp) * k
+    flat += pred.ravel().astype(np.intp, copy=False)
+    tally = np.bincount(flat, minlength=k * k).reshape(k, k)
+    tally[:n, :n] += counts.matrix
+    counts.matrix = tally
     return counts
 
 
-def _pooled_counts(pairs, category_map=None):
+def _pooled_counts(pairs):
     """Counts accumulated over all (pred, truth) pairs; no pairs is a
     DataError, so an empty evaluation set cannot score 1.0."""
     counts = ConfusionCounts()
-    n = 0
-    for n, (pred, truth) in enumerate(pairs, 1):
-        accumulate(pred, truth, counts, category_map=category_map)
-    if not n:
+    for pred, truth in pairs:
+        accumulate(pred, truth, counts)
+    if not counts.matrix.size:
         raise DataError("no mask pairs to evaluate")
     return counts
 
 
-def remap(mask, category_map):
-    """Map class ids to category ids; every id present must be mapped. The
-    result is int64, so a category id need not fit the mask's dtype."""
-    mask = np.asarray(mask)
-    ids = np.unique(mask)
-    for cls in ids:
-        if int(cls) not in category_map:
-            raise DataError(f"class id {int(cls)} missing from category map")
-    cats = np.array([category_map[int(cls)] for cls in ids], dtype=np.int64)
-    return cats[np.searchsorted(ids, mask)]
-
-
 def precision_recall_f(counts, cls=FOREGROUND):
     tp, fp, fn = counts.get(cls)
-    if tp == 0 and fp == 0 and fn == 0:
-        return 1.0, 1.0, 1.0
     p = tp / (tp + fp) if tp + fp else 1.0
     r = tp / (tp + fn) if tp + fn else 1.0
     f = 2 * p * r / (p + r) if p + r else 0.0
@@ -91,38 +88,37 @@ def precision_recall_f(counts, cls=FOREGROUND):
 
 def iou(counts, cls=FOREGROUND):
     tp, fp, fn = counts.get(cls)
-    denom = tp + fp + fn
-    return tp / denom if denom else 1.0
+    return tp / (tp + fp + fn) if tp + fp + fn else 1.0
 
 
-def mean_class_iou(counts, class_set=None):
+def _mean(ious):
+    return float(np.mean(ious)) if ious else 1.0
+
+
+def mean_class_iou(counts):
     """Arithmetic mean of per-class IoUs; classes absent from both pred and
     truth across the eval set are excluded."""
-    if class_set is None:
-        class_set = counts.classes()
-    vals = []
-    for cls in class_set:
-        tp, fp, fn = counts.get(cls)
-        if tp + fp + fn == 0:
-            continue
-        vals.append(tp / (tp + fp + fn))
-    return float(np.mean(vals)) if vals else 1.0
+    return _mean(list(_ious(counts.matrix).values()))
 
 
 def category_iou(pairs, category_map):
-    """Per-category and mean IoU, tallied after remapping both masks.
+    """Per-category and mean IoU: the pooled matrix's rows and columns are
+    summed by category, so confusions within a category count as true
+    positives. Every class id present must be in category_map.
 
     pairs is a non-empty iterable of (pred, truth) mask pairs.
     """
-    counts = _pooled_counts(pairs, category_map)
-    per_category = {}
-    for cat in counts.classes():
-        tp, fp, fn = counts.get(cat)
-        if tp + fp + fn == 0:
-            continue
-        per_category[cat] = tp / (tp + fp + fn)
-    mean = float(np.mean(list(per_category.values()))) if per_category else 1.0
-    return per_category, mean
+    counts = _pooled_counts(pairs)
+    present = counts.classes()
+    missing = set(present) - set(category_map)
+    if missing:
+        raise DataError(f"class ids {sorted(missing)} missing from category map")
+    cats = sorted({category_map[c] for c in present})
+    idx = [cats.index(category_map[c]) for c in present]
+    tally = np.zeros((len(cats), len(cats)), dtype=np.int64)
+    np.add.at(tally, np.ix_(idx, idx), counts.matrix[np.ix_(present, present)])
+    per_category = {cats[j]: v for j, v in _ious(tally).items()}
+    return per_category, _mean(list(per_category.values()))
 
 
 def binary_report(counts):
@@ -136,9 +132,7 @@ def evaluate_masks(pairs, per_frame=False):
     an empty evaluation set has no score."""
     if not per_frame:
         return binary_report(_pooled_counts(pairs))
-    rows = []
-    for pred, truth in pairs:
-        rows.append(binary_report(accumulate(pred, truth)))
+    rows = [binary_report(accumulate(pred, truth)) for pred, truth in pairs]
     if not rows:
         raise DataError("no mask pairs to evaluate")
     return {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}

@@ -220,8 +220,8 @@ def _layer_output_shape(spec, shape):
             raise ConfigError("pool needs a spatial input")
         c, h, w = dims
         s = spec.effective_stride()
-        if spec.size > h or spec.size > w:
-            raise ConfigError(f"pool window {spec.size} exceeds input {h}x{w}")
+        if not 1 <= spec.size <= min(h, w) or s < 1:
+            raise ConfigError(f"pool window {spec.size}, stride {s} do not fit input {h}x{w}")
         return ("chw", (c, (h - spec.size) // s + 1, (w - spec.size) // s + 1)), params
     if spec.kind == "relu":
         return shape, params
@@ -279,6 +279,8 @@ def shape_check(config):
     window = config.window
     if isinstance(window, bool) or not isinstance(window, int) or window < 1:
         raise ConfigError(f"window must be a positive integer, got {window!r}")
+    if len(config.input_shape) != 3:
+        raise ConfigError(f"input_shape must be (C, H, W), got {config.input_shape}")
     param_shapes = OrderedDict()
     shape, pre_shapes = _chain_shapes("pre", config.pre, ("chw", config.input_shape),
                                       param_shapes)
@@ -492,7 +494,8 @@ class WindowCache:
     skip: dict         # link index -> score-conv cache
 
 
-def _check_frames(model, frames):
+def check_frames(model, frames):
+    """Raise ShapeError naming the first frame whose shape is not the input's."""
     shape = model.config.input_shape
     if len(frames) < 1:
         raise ShapeError("window must contain at least one frame")
@@ -513,7 +516,7 @@ def _forward(model, frames, emit_from, cache=None, features=None):
     reuses its features, and a frame that runs the pre chain adds its entry.
     An entry holds its frame object, so its id cannot be taken by another
     array while the entry lives."""
-    _check_frames(model, frames)
+    check_frames(model, frames)
     rec = model.config.recurrent
     if rec is not None:
         cell = cells.CELLS[rec.kind]
@@ -781,7 +784,8 @@ def save_checkpoint(model, path):
 
 
 def _read(f, n, what):
-    data = f.read(n)
+    # a corrupt length cannot make the read ask for more than the file has left
+    data = f.read(min(n, os.fstat(f.fileno()).st_size - f.tell()))
     if len(data) != n:
         raise CheckpointError(f"truncated checkpoint while reading {what}")
     return data
@@ -789,7 +793,7 @@ def _read(f, n, what):
 
 def load_checkpoint(path, dtype=np.float32):
     """Load and validate a checkpoint; shapes and the name set must match the
-    embedded config exactly."""
+    embedded config exactly, and nothing may follow the last tensor."""
     with open(path, "rb") as f:
         if _read(f, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError("bad magic bytes; not a checkpoint file")
@@ -813,7 +817,8 @@ def load_checkpoint(path, dtype=np.float32):
         params = OrderedDict()
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read(f, 4, "name length"))
-            name = _read(f, nlen, "name").decode("utf-8")
+            # a name that is not UTF-8 decodes to one no config has
+            name = _read(f, nlen, "name").decode("utf-8", "replace")
             (rank,) = struct.unpack("<B", _read(f, 1, "rank"))
             dims = struct.unpack(f"<{rank}I", _read(f, 4 * rank, "dims"))
             if name not in report.param_shapes:
@@ -828,6 +833,8 @@ def load_checkpoint(path, dtype=np.float32):
         missing = set(report.param_shapes) - set(params)
         if missing:
             raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)}")
+        if f.read(1):
+            raise CheckpointError("trailing bytes after the last tensor")
     ordered = OrderedDict((k, params[k]) for k in report.param_shapes)
     return ModelInstance(config=config, params=ordered, dtype=dtype)
 

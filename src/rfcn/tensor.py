@@ -24,14 +24,14 @@ def check_finite(x, op):
 
 
 def sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one exp:
-    -|x| is exactly -x on the first branch and x on the second, so neither
-    exp can overflow. Float dtypes are kept; other inputs give float64."""
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, from one
+    e = exp(-|x|), which cannot overflow: the numerator max(e, x >= 0) is 1
+    or e, and keeps a NaN. Float dtypes are kept; other inputs give float64."""
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+    return np.maximum(e, x >= 0) / (1 + e)
 
 
 class Rng:

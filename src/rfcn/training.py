@@ -213,12 +213,12 @@ def predict(model, frames, threshold=0.5):
 
 
 def evaluate(model, samples, threshold=0.5, per_frame=False):
-    """Binary metric report over a list of SequenceSamples; each window's
-    masks are tallied and dropped before the next window runs. Consecutive
-    windows share their frames' trunk features (model.forward_windows), so
-    sliding windows run each frame's trunk once. No samples is a DataError."""
+    """Binary report over SequenceSamples, foreground (id > 0) against
+    background on both sides; each window's masks are tallied and dropped
+    before the next runs, and consecutive windows share their frames' trunk
+    features (model.forward_windows). No samples is a DataError."""
     logits = forward_windows(model, (s.frames for s in samples))
-    pairs = ((logits_to_mask(model, lg, threshold), binary_target(s.target))
+    pairs = ((binary_target(logits_to_mask(model, lg, threshold)), binary_target(s.target))
              for s, lg in zip(samples, logits))
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: gen-data / train / eval / predict round trips and
 exit codes."""
 
+import itertools
 import json
 import os
 from collections import OrderedDict
@@ -83,16 +84,18 @@ def test_train_eval_predict_roundtrip(tmp_path, dataset):
     assert rc == 0
 
 
-def test_predict_rejects_frames_of_the_wrong_size(tmp_path):
+def test_predict_rejects_frames_of_the_wrong_size(tmp_path, capsys):
     """Windowed and streamed predict both exit 1 on frames the checkpoint's
-    input shape does not take, and write no mask. The nets are fully
+    input shape does not take, name the first such frame by its index in the
+    sequence, and create no output directory. The nets are fully
     convolutional, so nothing but the frame check stops a 56x56 frame."""
     from rfcn import data
-    frames_dir = str(tmp_path / "frames")
-    os.makedirs(frames_dir)
-    for t in range(4):
-        data.write_pgm(os.path.join(frames_dir, f"frame_{t:04d}.pgm"),
-                       np.zeros((56, 56), dtype=np.float32))
+    sequences = {"all": [56] * 4, "fourth": [28, 28, 28, 56, 28, 28]}
+    for tag, sizes in sequences.items():
+        os.makedirs(tmp_path / tag)
+        for t, size in enumerate(sizes):
+            data.write_pgm(str(tmp_path / tag / f"frame_{t:04d}.pgm"),
+                           np.zeros((size, size), dtype=np.float32))
     for recurrent in (None, RecurrentSpec("conv_gru", hidden=2, kernel=3)):
         cfg = ArchitectureConfig(
             name="cli-conv", input_shape=(1, 28, 28), num_classes=1, window=3,
@@ -100,12 +103,16 @@ def test_predict_rejects_frames_of_the_wrong_size(tmp_path):
             recurrent=recurrent, post=[LayerSpec("conv1x1", depth=1)])
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(init_model(cfg, Rng(4)), ckpt)
-        for flags in ([], ["--stream"]):
-            out = str(tmp_path / f"masks-{recurrent is None}-{len(flags)}")
-            rc = main(["predict", "--ckpt", ckpt, "--frames", frames_dir,
+        for (tag, sizes), flags in itertools.product(sequences.items(),
+                                                      ([], ["--stream"])):
+            case = (recurrent, tag, flags)
+            out = str(tmp_path / "masks")
+            capsys.readouterr()
+            rc = main(["predict", "--ckpt", ckpt, "--frames", str(tmp_path / tag),
                        "--out", out] + flags)
-            assert rc == 1, (recurrent, flags)
-            assert not os.path.exists(out) or not os.listdir(out), (recurrent, flags)
+            assert rc == 1, case
+            assert f"frame {sizes.index(56)} shape" in capsys.readouterr().err, case
+            assert not os.path.exists(out), case
 
 
 def test_windowed_predict_matches_per_window_predict(tmp_path):
@@ -156,6 +163,38 @@ def test_eval_oracle_scores_one(tmp_path, dataset):
     assert rc == 0
     rep = json.load(open(report))
     assert rep["f_measure"] == 1.0 and rep["iou"] == 1.0
+
+
+def test_eval_scores_multiclass_ids_as_foreground(tmp_path, monkeypatch):
+    """A multiclass model's ids are scored foreground (id > 0) against
+    background on both sides: logits one-hot on every pixel's true id of a
+    semantic set score 1.0, pooled and per frame."""
+    from rfcn import data, training
+    out = str(tmp_path / "data")
+    assert main(["gen-data", "--out", out, "--sequences", "4", "--length", "3",
+                 "--seed", "5", "--train", "3", "--mode", "semantic"]) == 0
+    manifest = os.path.join(out, "manifest.json")
+    truth = {f.tobytes(): m for s in data.load_manifest_sequences(manifest)
+             for f, m in zip(s.frames, s.masks)}
+    assert len({int(c) for m in truth.values() for c in np.unique(m)}) > 2
+
+    def one_hot(model, windows):
+        for frames in windows:
+            ids = truth[frames[-1].tobytes()]
+            yield np.eye(11, dtype=np.float32)[ids].transpose(2, 0, 1)
+
+    monkeypatch.setattr(training, "forward_windows", one_hot)
+    cfg = ArchitectureConfig(
+        name="semantic", input_shape=(1, 28, 28), num_classes=11, window=3,
+        pre=[LayerSpec("conv1x1", depth=11)], recurrent=None, post=[])
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(cfg, Rng(5)), ckpt)
+    report = str(tmp_path / "r.json")
+    for split, flags in itertools.product(("train", "test"), ([], ["--per-frame"])):
+        assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--report", report,
+                     "--split", split] + flags) == 0
+        assert json.load(open(report)) == dict.fromkeys(
+            ("f_measure", "iou", "precision", "recall"), 1.0), (split, flags)
 
 
 def test_preset_subcommand_emits_json(tmp_path):
@@ -273,6 +312,19 @@ def test_checkpoint_with_too_many_classes_exits_1(tmp_path, dataset):
     rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
                "--report", str(tmp_path / "r.json")])
     assert rc == 1
+
+
+def test_checkpoint_with_a_non_utf8_name_exits_1(tmp_path, dataset, capsys):
+    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(cfg, Rng(3)), ckpt)
+    blob = bytearray(open(ckpt, "rb").read())
+    blob[blob.index(b"pre.0.conv.weights")] = 0xFF
+    open(ckpt, "wb").write(bytes(blob))
+    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "unexpected tensor" in capsys.readouterr().err
 
 
 def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):

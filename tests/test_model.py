@@ -8,6 +8,8 @@ from collections import OrderedDict
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rfcn.errors import CheckpointError, ConfigError, ShapeError
 from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
@@ -354,10 +356,11 @@ def test_checkpoint_unknown_cell_kind_is_checkpoint_error(tmp_path):
 
 def test_checkpoint_non_list_input_shape_is_checkpoint_error(tmp_path):
     path = str(tmp_path / "m.ckpt")
-    write_with_config(path, init_model(small_config(), Rng(16)),
-                      lambda d: d.update(input_shape=7))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for shape in (7, [1, 8]):
+        write_with_config(path, init_model(small_config(), Rng(16)),
+                          lambda d: d.update(input_shape=shape))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
 
 
 def test_checkpoint_mistyped_layer_field_is_checkpoint_error(tmp_path):
@@ -374,6 +377,66 @@ def test_checkpoint_non_int_window_is_checkpoint_error(tmp_path):
                       lambda d: d.update(window="3"))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_pool_of_size_zero_is_checkpoint_error(tmp_path):
+    """A pool layer whose size is lost has a zero window and stride."""
+    cfg = small_config(kind=None)
+    cfg.pre.append(LayerSpec("pool", size=2))
+    cfg.post.append(LayerSpec("deconv", size=2, stride=2, depth=1))
+    path = str(tmp_path / "m.ckpt")
+    write_with_config(path, init_model(cfg, Rng(21)),
+                      lambda d: d["pre"][2].pop("size"))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_name_and_trailing_bytes_are_checkpoint_errors(tmp_path):
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(small_config(), Rng(22)), path)
+    blob = open(path, "rb").read()
+    (clen,) = struct.unpack("<I", blob[8:12])
+    first_name = 12 + clen + 8  # after the config, tensor count and name length
+    assert blob[first_name:first_name + 4] == b"pre."
+    for bad in (blob[:first_name] + b"\xff" + blob[first_name + 1:], blob + b"\0"):
+        open(path, "wb").write(bad)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+def tiny_checkpoint():
+    cfg = ArchitectureConfig(
+        name="t", input_shape=(1, 6, 6), num_classes=1, window=2,
+        pre=[LayerSpec("conv", size=3, pad=1, depth=2), LayerSpec("relu"),
+             LayerSpec("pool", size=2)],
+        recurrent=RecurrentSpec("conv_gru", hidden=2, kernel=3),
+        post=[LayerSpec("conv1x1", depth=1),
+              LayerSpec("deconv", size=2, stride=2, depth=1)])
+    return init_model(cfg, Rng(23))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_checkpoint_byte_flip_or_truncation_loads_or_is_checkpoint_error(
+        tmp_path_factory, data):
+    """After one flipped byte or a truncation, a tiny checkpoint either loads
+    or raises CheckpointError; no other exception escapes."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(tiny_checkpoint(), path)
+    blob = bytearray(path.read_bytes())
+    (clen,) = struct.unpack("<I", blob[8:12])
+    if data.draw(st.booleans(), "truncate"):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1), "length")]
+    else:
+        # half the flips land in the header, config and first tensor's name
+        pos = data.draw(st.integers(0, 12 + clen + 30) | st.integers(0, len(blob) - 1),
+                        "position")
+        blob[pos] ^= data.draw(st.integers(1, 255), "xor")
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(str(path))
+    except CheckpointError:
+        pass
 
 
 def test_load_matching_copies_shared_trunk(tmp_path):

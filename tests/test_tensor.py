@@ -31,6 +31,13 @@ def sigmoid_two_branch(x):
     return out
 
 
+def sigmoid_where(x):
+    """The np.where form of the one-exp sigmoid: a byte-level oracle that
+    covers NaN as well."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1 / (1 + e), e / (1 + e))
+
+
 def test_sigmoid_matches_two_branch_formula():
     special = [0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 745.0, -745.0, 1e4, -1e4]
     spread = Rng(2).uniform(-40, 40, 500)
@@ -40,6 +47,10 @@ def test_sigmoid_matches_two_branch_formula():
         assert y.dtype == dtype
         npt.assert_array_equal(y.view(bits), sigmoid_two_branch(x).view(bits))
         assert np.isnan(sigmoid(np.array([np.nan, -np.nan], dtype=dtype))).all()
+        tiny = np.finfo(dtype).smallest_subnormal
+        odd = np.array([np.nan, -np.nan, tiny, -tiny, 3 * tiny, -3 * tiny], dtype=dtype)
+        x = np.concatenate([x, odd]).reshape(4, -1)
+        npt.assert_array_equal(sigmoid(x).view(bits), sigmoid_where(x).view(bits))
     yi = sigmoid(np.array([-3, 0, 2]))
     assert yi.dtype == np.float64
     npt.assert_array_equal(yi, sigmoid_two_branch(np.array([-3.0, 0.0, 2.0])))
