@@ -4,31 +4,43 @@ Each cell exposes a pure step function over (input, state) plus an exact
 backward for one unrolled step; the caller chains the backwards over a
 window for BPTT and accumulates parameter gradients across steps. CELLS
 describes each kind to the executor in one shape, so model.py never asks
-which kind it runs, and draws any kind's random weights.
+which kind it runs: the table checks a kind's spec fields, draws its
+initial and random weights, and runs its step and backward.
 
-GRU gate equations:
+Every cell is a set of gates plus an elementwise rule. A gate's
+pre-activation is lin(u, W_u) + lin(v, W_v) + b (_gate) over the hidden map
+and the input, where lin is the cell's linear map: a matrix-vector product
+for a dense cell, a stride-1 "same"-padded convolution for a map cell, so
+hidden maps keep their spatial dims. The GRU's rule:
     z = sigma(W_hz h + W_xz x + b_z)
     r = sigma(W_hr h + W_xr x + b_r)
     hcand = tanh(W_h (r*h) + W_x x + b)
     h' = (1 - z)*h + z*hcand
-The convolutional variant replaces every matrix product with a stride-1
-"same"-padded convolution, so hidden maps keep their spatial dims. One GRU
-step body and one backward body serve both: they take the linear map as an
-argument. The LSTM's candidate is a sigmoid or, if configured, a tanh.
+The LSTM's rule, dense only, with a sigmoid or, if configured, tanh
+candidate g:
+    i, f, o = sigma(W_h* h + W_x* x + b_*)
+    g = sigma or tanh(W_hc h + W_xc x + b_c)
+    c' = f*c + i*g,  h' = o*tanh(c')
 """
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .errors import ShapeError
-from .layers import ConvKernel, conv2d_backward, conv2d_forward
+from .errors import ConfigError, ShapeError
+from .layers import ConvKernel, conv2d_backward, conv2d_forward, identity_kernel
 from .tensor import fill_random, sigmoid
 
-GRU_WEIGHT_NAMES = ("w_hz", "w_xz", "b_z", "w_hr", "w_xr", "b_r", "w_h", "w_x", "b")
-LSTM_WEIGHT_NAMES = ("w_xi", "w_hi", "b_i", "w_xf", "w_hf", "b_f",
-                     "w_xo", "w_ho", "b_o", "w_xc", "w_hc", "b_c")
+GRU, CONV_GRU, LSTM = "gru", "conv_gru", "lstm"
+
+# Each gate's weights (W_u, W_v, b) in the order the step runs the gates, and
+# so the order weights are drawn and stored in: a GRU gate maps (h, x) and an
+# LSTM gate (x, h).
+GRU_GATES = (("w_hz", "w_xz", "b_z"), ("w_hr", "w_xr", "b_r"), ("w_h", "w_x", "b"))
+LSTM_GATES = tuple((f"w_x{t}", f"w_h{t}", f"b_{t}") for t in "ifoc")
+GRU_WEIGHT_NAMES = sum(GRU_GATES, ())
+LSTM_WEIGHT_NAMES = sum(LSTM_GATES, ())
 
 
 @dataclass
@@ -40,48 +52,16 @@ class RecurrentCellState:
     c: np.ndarray = None  # LSTM only
 
 
-@dataclass
-class GruParams:
-    """The nine GRU weights, for the dense and the convolutional cell.
-
-    Dense: (hidden, hidden) hidden-path and (hidden, input) input-path
-    matrices. Conv: (f, f, k, k) hidden-path and (f, c_in, k, k) input-path
-    kernels, odd-sized, stride 1, "same"-padded. Biases are (hidden,).
-    """
-
-    w_hz: np.ndarray
-    w_xz: np.ndarray
-    b_z: np.ndarray
-    w_hr: np.ndarray
-    w_xr: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    w_x: np.ndarray
-    b: np.ndarray
-
-
-@dataclass
-class LstmParams:
-    w_xi: np.ndarray
-    w_hi: np.ndarray
-    b_i: np.ndarray
-    w_xf: np.ndarray
-    w_hf: np.ndarray
-    b_f: np.ndarray
-    w_xo: np.ndarray
-    w_ho: np.ndarray
-    b_o: np.ndarray
-    w_xc: np.ndarray
-    w_hc: np.ndarray
-    b_c: np.ndarray
-    candidate_activation: str = "sigmoid"
+# A kind's weights bound as attributes named like them (shapes in
+# CellKind.param_shapes); the LSTM's also carry its candidate activation.
+GruParams = make_dataclass("GruParams", GRU_WEIGHT_NAMES)
+LstmParams = make_dataclass(
+    "LstmParams", LSTM_WEIGHT_NAMES + (("candidate_activation", str, "sigmoid"),))
 
 
 # ---------------------------------------------------------------------------
-# GRU: one body for the dense and the convolutional cell. The linear map is
-# an argument: lin(v, w) -> (w v, cache) and lin_backward(g, cache, w) ->
-# (w^T g, dL/dw). The dense cell passes a matrix-vector product, the conv
-# cell a stride-1 "same"-padded convolution.
+# The linear maps: lin(v, w) -> (w v, cache) and lin_backward(g, cache, w) ->
+# (w^T g, dL/dw).
 
 
 def _matvec(v, w):
@@ -105,8 +85,30 @@ def _conv_same_backward(g_chw, cache, w):
     return gx[0], gw
 
 
-def _bias_grad(d):
-    return d.copy() if d.ndim == 1 else d.sum(axis=(1, 2))
+# ---------------------------------------------------------------------------
+# The gate: one body for every cell kind
+
+
+def _gate(lin, p, names, u, v, caches):
+    """A gate's pre-activation lin(u, W_u) + lin(v, W_v) + b, where names =
+    (W_u, W_v, b) are attributes of p; appends the two maps' caches to
+    caches. A step applies the gate's activation to the returned array at
+    once, so no pre-activation outlives its gate."""
+    w_u, w_v, b = (getattr(p, n) for n in names)
+    au, cache_u = lin(u, w_u)
+    av, cache_v = lin(v, w_v)
+    caches.append((cache_u, cache_v))
+    return au + av + b.reshape(-1, *(1,) * (u.ndim - 1))
+
+
+def _gate_backward(lin_backward, p, names, d, cache):
+    """Backward of _gate from d, the gradient at its pre-activation: returns
+    (grad_u, grad_v, {name: gradient} for the gate's three parameters)."""
+    w_u, w_v, b = names
+    grad_u, gw_u = lin_backward(d, cache[0], getattr(p, w_u))
+    grad_v, gw_v = lin_backward(d, cache[1], getattr(p, w_v))
+    gb = d.copy() if d.ndim == 1 else d.sum(axis=(1, 2))
+    return grad_u, grad_v, {w_u: gw_u, w_v: gw_v, b: gb}
 
 
 def _gru_step(x, state, p, lin):
@@ -114,36 +116,26 @@ def _gru_step(x, state, p, lin):
     if (x.shape[1:] != h.shape[1:] or h.shape[0] != p.w_h.shape[0]
             or x.shape[0] != p.w_x.shape[1]):
         raise ShapeError(f"GRU dims mismatch: x {x.shape}, h {h.shape}")
-    lin_caches = {}
-
-    def affine(tag, v, w_v, w_x, b):
-        av, lin_caches["h" + tag] = lin(v, w_v)
-        ax, lin_caches["x" + tag] = lin(x, w_x)
-        return av + ax + b.reshape(-1, *(1,) * (h.ndim - 1))
-
-    z = sigmoid(affine("z", h, p.w_hz, p.w_xz, p.b_z))
-    r = sigmoid(affine("r", h, p.w_hr, p.w_xr, p.b_r))
-    rh = r * h
-    hcand = np.tanh(affine("h", rh, p.w_h, p.w_x, p.b))
+    gates = []
+    z = sigmoid(_gate(lin, p, GRU_GATES[0], h, x, gates))
+    r = sigmoid(_gate(lin, p, GRU_GATES[1], h, x, gates))
+    hcand = np.tanh(_gate(lin, p, GRU_GATES[2], r * h, x, gates))
     h_new = (1 - z) * h + z * hcand
-    cache = {"x": x, "h": h, "z": z, "r": r, "hcand": hcand, "lin": lin_caches}
+    cache = {"h": h, "z": z, "r": r, "hcand": hcand, "gates": gates}
     return RecurrentCellState(h_new), cache
 
 
 def _gru_backward(grad_h_new, cache, p, lin_backward):
-    x, h, z, r, hcand, lc = (cache[k] for k in ("x", "h", "z", "r", "hcand", "lin"))
+    h, z, r, hcand, gates = (cache[k] for k in ("h", "z", "r", "hcand", "gates"))
     g = grad_h_new
     grad_h = g * (1 - z)
-    d_a = g * z * (1 - hcand * hcand)
-    d_rh, gw_h = lin_backward(d_a, lc["hh"], p.w_h)
-    grad_x, gw_x = lin_backward(d_a, lc["xh"], p.w_x)
-    grad = {"w_h": gw_h, "w_x": gw_x, "b": _bias_grad(d_a)}
+    d_rh, grad_x, grad = _gate_backward(lin_backward, p, GRU_GATES[2],
+                                        g * z * (1 - hcand * hcand), gates[2])
     grad_h = grad_h + d_rh * r
-    for tag, d in (("z", g * (hcand - h) * z * (1 - z)),
-                   ("r", d_rh * h * r * (1 - r))):
-        gh, grad["w_h" + tag] = lin_backward(d, lc["h" + tag], getattr(p, "w_h" + tag))
-        gx, grad["w_x" + tag] = lin_backward(d, lc["x" + tag], getattr(p, "w_x" + tag))
-        grad["b_" + tag] = _bias_grad(d)
+    for names, d, gate in zip(GRU_GATES, (g * (hcand - h) * z * (1 - z),
+                                          d_rh * h * r * (1 - r)), gates):
+        gh, gx, gw = _gate_backward(lin_backward, p, names, d, gate)
+        grad.update(gw)
         grad_h = grad_h + gh
         grad_x = grad_x + gx
     return grad_x, grad_h, grad
@@ -171,24 +163,17 @@ def conv_gru_backward(grad_h_new, cache, p):
     return _gru_backward(grad_h_new, cache, p, _conv_same_backward)
 
 
-# ---------------------------------------------------------------------------
-# LSTM
-
-
 def lstm_step(x, state, p):
     """One dense LSTM step over state (h, c)."""
     h, c = state.h, state.c
-    i = sigmoid(p.w_xi @ x + p.w_hi @ h + p.b_i)
-    f = sigmoid(p.w_xf @ x + p.w_hf @ h + p.b_f)
-    o = sigmoid(p.w_xo @ x + p.w_ho @ h + p.b_o)
-    a_g = p.w_xc @ x + p.w_hc @ h + p.b_c
-    g = sigmoid(a_g) if p.candidate_activation == "sigmoid" else np.tanh(a_g)
+    gates = []
+    i, f, o = (sigmoid(_gate(_matvec, p, names, x, h, gates)) for names in LSTM_GATES[:3])
+    cand = sigmoid if p.candidate_activation == "sigmoid" else np.tanh
+    g = cand(_gate(_matvec, p, LSTM_GATES[3], x, h, gates))
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-    cache = {"x": x, "h": h, "c": c, "i": i, "f": f, "o": o, "g": g,
-             "c_new": c_new, "tc": tc}
-    return RecurrentCellState(h_new, c=c_new), cache
+    cache = {"c": c, "i": i, "f": f, "o": o, "g": g, "tc": tc, "gates": gates}
+    return RecurrentCellState(o * tc, c=c_new), cache
 
 
 def lstm_backward(grad_h_new, grad_c_new, cache, p):
@@ -196,36 +181,52 @@ def lstm_backward(grad_h_new, grad_c_new, cache, p):
 
     Returns (grad_x, grad_h_prev, grad_c_prev, grads dict).
     """
-    x, h, c, i, f, o, g, c_new, tc = (
-        cache[k] for k in ("x", "h", "c", "i", "f", "o", "g", "c_new", "tc"))
-    gh = grad_h_new
-    d_o = gh * tc
-    d_c = gh * o * (1 - tc * tc)
+    c, i, f, o, g, tc = (cache[k] for k in ("c", "i", "f", "o", "g", "tc"))
+    d_c = grad_h_new * o * (1 - tc * tc)
     if grad_c_new is not None:
         d_c = d_c + grad_c_new
-    d_f = d_c * c
-    d_i = d_c * g
     d_g = d_c * i
-    grad_c_prev = d_c * f
+    d_ag = d_g * g * (1 - g) if p.candidate_activation == "sigmoid" else d_g * (1 - g * g)
+    grad, grad_x, grad_h = {}, 0, 0
+    for names, d, gate in zip(LSTM_GATES, (d_c * g * i * (1 - i), d_c * c * f * (1 - f),
+                                           grad_h_new * tc * o * (1 - o), d_ag),
+                              cache["gates"]):
+        gx, gh, gw = _gate_backward(_matvec_backward, p, names, d, gate)
+        grad.update(gw)
+        grad_h = grad_h + gh
+        grad_x = grad_x + gx
+    return grad_x, grad_h, d_c * f, grad
 
-    if p.candidate_activation == "sigmoid":
-        d_ag = d_g * g * (1 - g)
-    else:
-        d_ag = d_g * (1 - g * g)
-    d_ai = d_i * i * (1 - i)
-    d_af = d_f * f * (1 - f)
-    d_ao = d_o * o * (1 - o)
 
-    grad = {}
-    grad_x = np.zeros_like(x)
-    grad_h = np.zeros_like(h)
-    for tag, d in (("i", d_ai), ("f", d_af), ("o", d_ao), ("c", d_ag)):
-        grad[f"w_x{tag}"] = np.outer(d, x)
-        grad[f"w_h{tag}"] = np.outer(d, h)
-        grad[f"b_{tag}"] = d.copy()
-        grad_x = grad_x + getattr(p, f"w_x{tag}").T @ d
-        grad_h = grad_h + getattr(p, f"w_h{tag}").T @ d
-    return grad_x, grad_h, grad_c_prev, grad
+# ---------------------------------------------------------------------------
+# Initial weights
+
+# A GRU whose hidden state is decoded into logits starts out with the tanh
+# candidate saturated toward the majority class, which annihilates the
+# gradients that could pull it out of it. A fresh GRU therefore starts as a
+# pass-through of its input: identity input-path candidate weights (when
+# square), a positive update-gate bias (the update gate nearly open), and
+# zero recurrent-path weights, so recurrence only engages once the optimizer
+# finds it useful.
+CELL_INPUT_IDENTITY = 1.0
+CELL_UPDATE_BIAS = 4.0
+
+
+def _random(name, shape, rng, dtype):
+    """A zero bias or a scaled-fan-in weight."""
+    if name.startswith("b"):
+        return np.zeros(shape, dtype=dtype)
+    return fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
+
+
+def _gru_init(name, shape, rng, dtype):
+    if name == "b_z":
+        return np.full(shape, CELL_UPDATE_BIAS, dtype=dtype)
+    if name in ("w_h", "w_hz", "w_hr"):
+        return np.zeros(shape, dtype=dtype)
+    if name == "w_x" and shape[0] == shape[1]:
+        return identity_kernel(shape, CELL_INPUT_IDENTITY, dtype)
+    return _random(name, shape, rng, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +244,8 @@ class CellKind:
     gradient state carries grad_h in .h and, for the LSTM, grad_c in .c.
     step and backward look the cell functions above up by name at call
     time, so rebinding a module attribute (as a tracer does) sees every call.
+    init is (weight name, shape, rng, dtype) -> a fresh model's weight, and
+    candidates lists the candidate activations a spec may choose.
     """
 
     input_form: str
@@ -250,7 +253,20 @@ class CellKind:
     bind: object
     step: object
     backward: object
+    init: object = _random
     carries_c: bool = False
+    candidates: tuple = ("sigmoid",)
+
+    def check(self, spec):
+        """Raise ConfigError for a spec field this kind rejects or ignores:
+        a map cell needs an odd kernel, a dense cell takes none."""
+        if self.input_form == "chw" and spec.kernel % 2 != 1:
+            raise ConfigError(f"{spec.kind} kernel must be odd")
+        if self.input_form != "chw" and spec.kernel:
+            raise ConfigError(f"a {spec.kind} cell takes no kernel, got {spec.kernel}")
+        if spec.candidate_activation not in self.candidates:
+            raise ConfigError(f"a {spec.kind} cell's candidate activation is one of "
+                              f"{self.candidates}, got {spec.candidate_activation!r}")
 
     def param_shapes(self, spec, in_dims):
         """Weight shapes for input dims (d,) or (c, h, w): biases (hidden,),
@@ -265,10 +281,8 @@ class CellKind:
 
     def random_params(self, spec, in_dims, rng, dtype=np.float32):
         """Zero biases and scaled-fan-in weights, drawn in weight_names order."""
-        return OrderedDict(
-            (n, np.zeros(shape, dtype=dtype) if n.startswith("b")
-             else fill_random(shape, rng, "scaled-fan-in", dtype=dtype))
-            for n, shape in self.param_shapes(spec, in_dims).items())
+        return OrderedDict((n, _random(n, shape, rng, dtype))
+                           for n, shape in self.param_shapes(spec, in_dims).items())
 
     def zero_state(self, shape, dtype):
         """The state at a window start, with hidden maps of the given shape."""
@@ -287,18 +301,20 @@ def _lstm_backward(grad, cache, p):
 
 
 CELLS = {
-    "gru": CellKind("vec", GRU_WEIGHT_NAMES,
-                    lambda spec, w: GruParams(**w),
-                    lambda x, state, p: gru_step(x, state, p),
-                    lambda g, cache, p: _gru_backward_state(g, cache, p, gru_backward)),
-    "conv_gru": CellKind("chw", GRU_WEIGHT_NAMES,
-                         lambda spec, w: GruParams(**w),
-                         lambda x, state, p: conv_gru_step(x, state, p),
-                         lambda g, cache, p: _gru_backward_state(
-                             g, cache, p, conv_gru_backward)),
-    "lstm": CellKind("vec", LSTM_WEIGHT_NAMES,
-                     lambda spec, w: LstmParams(
-                         candidate_activation=spec.candidate_activation, **w),
-                     lambda x, state, p: lstm_step(x, state, p), _lstm_backward,
-                     carries_c=True),
+    GRU: CellKind("vec", GRU_WEIGHT_NAMES,
+                  lambda spec, w: GruParams(**w),
+                  lambda x, state, p: gru_step(x, state, p),
+                  lambda g, cache, p: _gru_backward_state(g, cache, p, gru_backward),
+                  init=_gru_init),
+    CONV_GRU: CellKind("chw", GRU_WEIGHT_NAMES,
+                       lambda spec, w: GruParams(**w),
+                       lambda x, state, p: conv_gru_step(x, state, p),
+                       lambda g, cache, p: _gru_backward_state(
+                           g, cache, p, conv_gru_backward),
+                       init=_gru_init),
+    LSTM: CellKind("vec", LSTM_WEIGHT_NAMES,
+                   lambda spec, w: LstmParams(
+                       candidate_activation=spec.candidate_activation, **w),
+                   lambda x, state, p: lstm_step(x, state, p), _lstm_backward,
+                   carries_c=True, candidates=("sigmoid", "tanh")),
 }

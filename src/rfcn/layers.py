@@ -313,3 +313,12 @@ def bilinear_kernel(f, c, k, dtype=np.float32):
     for i in range(min(f, c)):
         w[i, i] = filt
     return w
+
+
+def identity_kernel(shape, gain, dtype):
+    """Zeros with gain at (i, i) and the centre tap of each trailing axis:
+    a square matrix or conv kernel that scales its input by gain."""
+    w = np.zeros(shape, dtype=dtype)
+    i = np.arange(shape[0])
+    w[(i, i) + tuple(k // 2 for k in shape[2:])] = gain
+    return w

@@ -32,7 +32,7 @@ from .data import MAX_CLASS_ID
 from .errors import CheckpointError, ConfigError, ShapeError
 from .layers import (ConvKernel, bilinear_kernel, conv2d_backward, conv2d_forward,
                      conv_output_dim, deconv2d_backward, deconv2d_forward,
-                     deconv_output_dim, flatten, maxpool2d_backward,
+                     deconv_output_dim, flatten, identity_kernel, maxpool2d_backward,
                      maxpool2d_forward, relu_backward, relu_forward, unflatten)
 from .tensor import check_finite, fill_random
 
@@ -40,7 +40,6 @@ CHECKPOINT_MAGIC = b"RFCN"
 CHECKPOINT_VERSION = 1
 
 LAYER_KINDS = ("conv", "conv1x1", "deconv", "pool", "relu", "flatten", "unflatten")
-CELL_KINDS = tuple(cells.CELLS)
 
 
 @dataclass
@@ -84,33 +83,26 @@ class LayerSpec:
 
 @dataclass
 class RecurrentSpec:
-    """The single recurrent node: cell kind and its dimensions."""
+    """The single recurrent node: cell kind and its dimensions. Which fields
+    a kind takes is the cell table's rule (cells.CellKind.check)."""
 
     kind: str
     hidden: int
-    kernel: int = 0  # conv_gru only
-    candidate_activation: str = "sigmoid"  # lstm only
+    kernel: int = 0  # map cells only
+    candidate_activation: str = "sigmoid"
 
     def __post_init__(self):
-        if self.kind not in CELL_KINDS:
+        if self.kind not in cells.CELLS:
             raise ConfigError(f"unknown cell kind {self.kind!r}")
-        if self.kind == "conv_gru" and self.kernel % 2 != 1:
-            raise ConfigError("conv_gru kernel must be odd")
-        if self.kind != "conv_gru" and self.kernel:
-            raise ConfigError(f"a {self.kind} cell takes no kernel, got {self.kernel}")
-        if self.candidate_activation not in ("sigmoid", "tanh"):
-            raise ConfigError(
-                f"unknown candidate activation {self.candidate_activation!r}")
-        if self.kind != "lstm" and self.candidate_activation != "sigmoid":
-            raise ConfigError(
-                f"a {self.kind} cell has a sigmoid candidate, got "
-                f"{self.candidate_activation!r}")
+        cells.CELLS[self.kind].check(self)
 
     def to_dict(self):
         d = {"kind": self.kind, "hidden": self.hidden}
         if self.kernel:
             d["kernel"] = self.kernel
-        if self.kind == "lstm":
+        # an unknown kind still serializes, and then fails to load
+        cell = cells.CELLS.get(self.kind)
+        if cell is not None and len(cell.candidates) > 1:
             d["candidate_activation"] = self.candidate_activation
         return d
 
@@ -335,50 +327,23 @@ class ModelInstance:
         return cells.CELLS[rec.kind].bind(rec, d)
 
 
-# GRU cells whose hidden state is decoded into logits start out with the tanh
-# candidate saturated toward the majority class, which annihilates the
-# gradients that could pull them out of it. A fresh recurrent net therefore
-# starts as a pass-through of its feedforward trunk: identity input-path
-# candidate weights, a positive update-gate bias (the update gate nearly
-# open), and zero recurrent-path weights, so recurrence only engages once the
-# optimizer finds it useful. Square conv1x1 layers placed after the cell get
-# an identity gain > 1 so the bounded hidden state can be stretched back into
-# unbounded logits.
-CELL_INPUT_IDENTITY = 1.0
-CELL_UPDATE_BIAS = 4.0
+# Square conv1x1 layers placed after a cell, which starts as a pass-through
+# of its input (cells.CellKind.init), get an identity gain > 1 so the bounded
+# hidden state can be stretched back into unbounded logits.
 POST_CELL_GAIN = 2.0
 
 
-def _identity(shape, gain, dtype):
-    """Zeros with gain at (i, i) and the centre tap of each trailing axis."""
-    w = np.zeros(shape, dtype=dtype)
-    i = np.arange(shape[0])
-    w[(i, i) + tuple(k // 2 for k in shape[2:])] = gain
-    return w
-
-
-def _cell_init(suffix, shape, rng, dtype):
-    if suffix == "b_z":
-        return np.full(shape, CELL_UPDATE_BIAS, dtype=dtype)
-    if suffix.startswith("b"):
-        return np.zeros(shape, dtype=dtype)
-    if suffix in ("w_h", "w_hz", "w_hr"):
-        return np.zeros(shape, dtype=dtype)
-    if suffix == "w_x" and shape[0] == shape[1]:
-        return _identity(shape, CELL_INPUT_IDENTITY, dtype)
-    return fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
-
-
 def init_model(config, rng, dtype=np.float32):
-    """Instantiate a config: fan-in-scaled conv and cell weights, bilinear
-    deconv weights, zero biases."""
+    """Instantiate a config: the cell kind's initial weights, fan-in-scaled
+    conv weights, bilinear deconv weights, zero biases."""
     report = shape_check(config)
     params = OrderedDict()
     for name, shape in report.param_shapes.items():
         kind = name.split(".")[-2]
         leaf = name.split(".")[-1]
         if name.startswith("cell."):
-            params[name] = _cell_init(name.split(".", 1)[1], shape, rng, dtype)
+            params[name] = cells.CELLS[config.recurrent.kind].init(
+                name.split(".", 1)[1], shape, rng, dtype)
         elif leaf == "bias":
             params[name] = np.zeros(shape, dtype=dtype)
         elif kind == "deconv":
@@ -386,7 +351,7 @@ def init_model(config, rng, dtype=np.float32):
             params[name] = bilinear_kernel(f, c, kh, dtype=dtype)
         elif (name.startswith("post.") and kind == "conv1x1"
               and config.recurrent is not None and shape[0] == shape[1]):
-            params[name] = _identity(shape, POST_CELL_GAIN, dtype)
+            params[name] = identity_kernel(shape, POST_CELL_GAIN, dtype)
         else:
             params[name] = fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
     return ModelInstance(config=config, params=params, dtype=dtype)
@@ -679,7 +644,7 @@ def preset(name, window=3):
                 LayerSpec("deconv", size=10, stride=4, pad=3, depth=1),
                 LayerSpec("flatten"),
             ],
-            recurrent=RecurrentSpec("gru", hidden=784),
+            recurrent=RecurrentSpec(cells.GRU, hidden=784),
             post=[LayerSpec("unflatten", target_shape=(1, 28, 28)),
                   LayerSpec("conv1x1", depth=1)],
         )
@@ -695,7 +660,7 @@ def preset(name, window=3):
         cfg = ArchitectureConfig(
             name=name, input_shape=(1, 120, 180), num_classes=1, window=window,
             pre=_12s_trunk() + [LayerSpec("flatten")],
-            recurrent=RecurrentSpec("gru", hidden=150),
+            recurrent=RecurrentSpec(cells.GRU, hidden=150),
             post=[
                 LayerSpec("unflatten", target_shape=(1, 10, 15)),
                 LayerSpec("deconv", size=12, stride=12, depth=1),
@@ -712,7 +677,7 @@ def preset(name, window=3):
         cfg = ArchitectureConfig(
             name=name, input_shape=(3, 240, 360), num_classes=1, window=window,
             pre=_vgg_trunk(),
-            recurrent=RecurrentSpec("conv_gru", hidden=128, kernel=3),
+            recurrent=RecurrentSpec(cells.CONV_GRU, hidden=128, kernel=3),
             post=[
                 LayerSpec("conv1x1", depth=1),
                 LayerSpec("deconv", size=30, stride=30, depth=1),
@@ -734,7 +699,7 @@ def preset(name, window=3):
                 LayerSpec("conv", size=3, pad=1, depth=64),
                 LayerSpec("relu"),
             ],
-            recurrent=RecurrentSpec("conv_gru", hidden=64, kernel=3),
+            recurrent=RecurrentSpec(cells.CONV_GRU, hidden=64, kernel=3),
             post=[
                 LayerSpec("pool", size=2),
                 LayerSpec("conv", size=3, pad=1, depth=128),

@@ -34,9 +34,8 @@ def logistic_loss(logits, target):
     l2 = logits[0] if squeeze else logits
     if l2.shape != target.shape:
         raise ShapeError(f"logits shape {logits.shape} vs target {target.shape}")
-    vals = np.unique(target)
-    if not np.all(np.isin(vals, (0, 1))):
-        raise DataError(f"binary targets must be 0/1, got values {vals}")
+    if np.any(target != target.astype(bool)):
+        raise DataError(f"binary targets must be 0/1, got values {np.unique(target)}")
     t = target.astype(l2.dtype)
     # stable: max(l,0) - l*y + log(1 + exp(-|l|))
     loss = np.maximum(l2, 0) - l2 * t + np.log1p(np.exp(-np.abs(l2)))
@@ -121,7 +120,6 @@ class TrainConfig:
     mode: str = "end-to-end"  # end-to-end | decoupled
     phase1_epochs: int = 0    # decoupled only, at most max_epochs; 0 = half of it
     freeze: list = field(default_factory=list)  # fnmatch patterns
-    loss: str = "binary-logistic"  # binary-logistic | multiclass-cross-entropy
     seed: int = 0
     patience: int = 20
     threshold: float = 0.5
@@ -141,8 +139,6 @@ class TrainConfig:
         if self.mode == "decoupled" and self.phase1_epochs > self.max_epochs:
             raise ConfigError(f"phase1_epochs {self.phase1_epochs} exceeds "
                               f"max_epochs {self.max_epochs}")
-        if self.loss not in ("binary-logistic", "multiclass-cross-entropy"):
-            raise ConfigError(f"unknown loss {self.loss!r}")
 
     @classmethod
     def from_dict(cls, d):
@@ -186,15 +182,17 @@ def _resolve_freeze(patterns, names):
     return frozen
 
 
-def _loss_fn(cfg):
-    if cfg.loss == "binary-logistic":
-        return logistic_loss
-    return multiclass_cross_entropy
-
-
 def binary_target(target):
     """The binary mask of a target: 1 wherever its label is positive."""
     return (np.asarray(target) > 0).astype(MASK_DTYPE)
+
+
+def _loss(model, logits, target):
+    """The loss follows the model's classes: logistic loss on the binary
+    target for one, softmax cross-entropy on the class ids for more."""
+    if model.config.num_classes == 1:
+        return logistic_loss(logits, binary_target(target))
+    return multiclass_cross_entropy(logits, target)
 
 
 def logits_to_mask(model, logits, threshold=0.5):
@@ -223,17 +221,15 @@ def evaluate(model, samples, threshold=0.5, per_frame=False):
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 
 
-def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step, loss_fn):
+def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step):
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         grads = None
         for idx in batch:
             s = samples[idx]
-            target = s.target if cfg.loss == "multiclass-cross-entropy" \
-                else binary_target(s.target)
             logits, cache = forward_window(model, s.frames)
-            loss, grad_logits = loss_fn(logits, target)
+            loss, grad_logits = _loss(model, logits, s.target)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss {loss}", model=model)
             total += loss
@@ -265,7 +261,6 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
     if not train_samples and cfg.max_epochs > 0:
         raise DataError("training set is empty")
     names = list(model.params.keys())
-    loss_fn = _loss_fn(cfg)
     log = TrainLog()
     if cfg.mode == "decoupled":
         if model.config.recurrent is None:
@@ -300,7 +295,7 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
             t0 = time.monotonic()
             order = rng.permutation(len(train_samples))
             mean_loss = _run_epoch(model, train_samples, order, cfg, frozen,
-                                   opt_state, opt_step, loss_fn)
+                                   opt_state, opt_step)
             report = evaluate(model, eval_samples, threshold=cfg.threshold)
             log.append(epoch, mean_loss, report, time.monotonic() - t0)
             if on_epoch is not None:

@@ -124,6 +124,28 @@ def test_cells_reject_fields_their_kind_ignores():
     assert RecurrentSpec("gru", hidden=4).to_dict() == {"kind": "gru", "hidden": 4}
 
 
+def test_cell_table_init_starts_a_gru_as_a_pass_through():
+    """Both GRU kinds start with zero recurrent-path weights, an update-gate
+    bias of 4 and an identity candidate input map when it is square; the
+    LSTM's initial weights are the table's random ones."""
+    for kind, kernel, dims in (("gru", 0, (4,)), ("conv_gru", 3, (4, 5, 5)),
+                               ("lstm", 0, (3,))):
+        spec = RecurrentSpec(kind, hidden=4, kernel=kernel)
+        cell = cells.CELLS[kind]
+        rng = Rng(210)
+        w = {n: cell.init(n, shape, rng, np.float64)
+             for n, shape in cell.param_shapes(spec, dims).items()}
+        if kind == "lstm":
+            ref = cell.random_params(spec, dims, Rng(210), np.float64)
+            assert all(np.array_equal(w[n], ref[n]) for n in ref)
+            continue
+        assert not any(w[n].any() for n in ("w_hz", "w_hr", "w_h", "b_r", "b"))
+        assert (w["b_z"] == 4.0).all()
+        centre = (slice(None), slice(None)) + (kernel // 2,) * (len(dims) - 1)
+        npt.assert_array_equal(w["w_x"][centre], np.eye(4))
+        assert np.abs(w["w_x"]).sum() == 4 and w["w_xz"].any() and w["w_xr"].any()
+
+
 def test_gru_backward_consistent_with_finite_difference():
     """Spot-check one analytic gradient against central differences here;
     the exhaustive audit lives in the gradcheck module."""

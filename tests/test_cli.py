@@ -197,6 +197,29 @@ def test_eval_scores_multiclass_ids_as_foreground(tmp_path, monkeypatch):
             ("f_measure", "iou", "precision", "recall"), 1.0), (split, flags)
 
 
+def test_train_on_a_semantic_set_needs_no_train_config(tmp_path):
+    """The loss follows num_classes: a multiclass net trains on a semantic
+    set's class ids with no train config file, and a train config that
+    still names a loss fails as an unknown key."""
+    out = str(tmp_path / "data")
+    assert main(["gen-data", "--out", out, "--sequences", "3", "--length", "3",
+                 "--seed", "5", "--train", "2", "--mode", "semantic"]) == 0
+    cfg = ArchitectureConfig(
+        name="semantic", input_shape=(1, 28, 28), num_classes=11, window=3,
+        pre=[LayerSpec("conv", size=3, pad=1, depth=11)], recurrent=None, post=[])
+    arch, train_cfg = str(tmp_path / "arch.json"), str(tmp_path / "train.json")
+    with open(arch, "w") as f:
+        f.write(cfg.to_json())
+    with open(train_cfg, "w") as f:
+        json.dump({"loss": "multiclass-cross-entropy"}, f)
+    ckpt = str(tmp_path / "m.ckpt")
+    args = ["train", "--arch", arch, "--data", os.path.join(out, "manifest.json"),
+            "--out", ckpt, "--max-epochs", "1", "--patience", "0"]
+    assert main(args) == 0
+    assert load_checkpoint(ckpt).config.num_classes == 11
+    assert main(args + ["--config", train_cfg]) == 2
+
+
 def test_preset_subcommand_emits_json(tmp_path):
     out = str(tmp_path / "cfg.json")
     rc = main(["preset", "--name", "rfc-lenet", "--out", out])

@@ -179,8 +179,9 @@ def test_train_config_rejects_unknown_keys():
 def test_train_config_rejects_bad_mode_and_loss():
     with pytest.raises(ConfigError):
         TrainConfig(mode="sideways")
+    # the loss follows the model's num_classes; a config naming one is stale
     with pytest.raises(ConfigError):
-        TrainConfig(loss="hinge")
+        TrainConfig.from_dict({"loss": "hinge"})
 
 
 def test_train_config_rejects_out_of_range_counts():
