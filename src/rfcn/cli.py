@@ -40,7 +40,7 @@ def _load_arch(spec, window=None):
         cfg = preset(spec)
     else:
         try:
-            with open(spec) as f:
+            with open(spec, "rb") as f:
                 cfg = ArchitectureConfig.from_json(f.read())
         except OSError as e:
             raise ConfigError(f"unknown preset and unreadable config file: {e}") from e
@@ -70,7 +70,7 @@ def cmd_gen_data(args):
         digits, labels = data_mod.load_mnist_idx(args.mnist_images, args.mnist_labels)
     manifest = data_mod.generate_dataset(
         args.out, args.sequences, args.length, args.seed, n_train=args.train,
-        mode=args.mode, window=args.window, digits=digits, labels=labels)
+        mode=args.mode, digits=digits, labels=labels)
     print(f"wrote {args.sequences} sequences to {args.out} (manifest {manifest})")
     return EXIT_OK
 
@@ -211,7 +211,6 @@ def build_parser():
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--train", type=int, default=None,
                    help="number of training sequences (default 70%%)")
-    g.add_argument("--window", type=int, default=3)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train", help="train an architecture on a dataset")

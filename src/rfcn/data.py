@@ -414,10 +414,9 @@ class ManifestEntry:
     split: str  # train | test
 
 
-def write_manifest(path, entries, mode="binary", window=3):
+def write_manifest(path, entries, mode="binary"):
     doc = {
         "mode": mode,
-        "window": window,
         "sequences": [
             {"id": e.sequence_id, "dir": e.directory, "length": e.length,
              "split": e.split}
@@ -432,6 +431,8 @@ def write_manifest(path, entries, mode="binary", window=3):
 
 
 def read_manifest(path):
+    """(mask mode, entries) of a manifest; keys it does not use, such as the
+    "window" older manifests hold, are ignored."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -439,13 +440,13 @@ def read_manifest(path):
         raise DataError(f"cannot read manifest {path}: {e}") from e
     entries = [ManifestEntry(s["id"], s["dir"], s["length"], s.get("split", "train"))
                for s in doc.get("sequences", [])]
-    return doc.get("mode", "binary"), doc.get("window", 3), entries
+    return doc.get("mode", "binary"), entries
 
 
 def load_manifest_sequences(path, split=None):
     """Load sequences listed in a manifest, optionally filtered by split."""
     base = os.path.dirname(os.path.abspath(path))
-    _, _, entries = read_manifest(path)
+    _, entries = read_manifest(path)
     out = []
     for e in entries:
         if split is not None and e.split != split:
@@ -458,7 +459,7 @@ def load_manifest_sequences(path, split=None):
 
 
 def generate_dataset(out_dir, n_sequences, length, seed, n_train=None,
-                     mode="binary", window=3, digits=None, labels=None,
+                     mode="binary", digits=None, labels=None,
                      threshold=DEFAULT_THRESHOLD):
     """Generate a moving-digit dataset on disk plus its manifest.
 
@@ -484,5 +485,5 @@ def generate_dataset(out_dir, n_sequences, length, seed, n_train=None,
         entries.append(ManifestEntry(
             sid, sid, length, "train" if i < n_train else "test"))
     manifest = os.path.join(out_dir, "manifest.json")
-    write_manifest(manifest, entries, mode=mode, window=window)
+    write_manifest(manifest, entries, mode=mode)
     return manifest

@@ -6,11 +6,13 @@ error uses a small denominator floor so finite-difference noise on
 near-zero gradients cannot dominate.
 """
 
+from functools import partial
+
 import numpy as np
 
 from . import cells
 from .errors import RfcnError
-from .layers import (ConvKernel, conv2d_backward, conv2d_forward,
+from .layers import (ConvKernel, _pool_taps, conv2d_backward, conv2d_forward,
                      deconv2d_backward, deconv2d_forward, maxpool2d_backward,
                      maxpool2d_forward, relu_backward, relu_forward)
 from .model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
@@ -54,8 +56,24 @@ def fd_check(loss_fn, arrays, analytic, rng, n_samples=24, step=STEP):
     return results
 
 
-def _weighted_sum(shape, rng):
-    return rng.uniform(-1, 1, shape)
+def _audit_op(rng, forward, backward, arrays, n_samples=24):
+    """FD-audit one op through the loss sum(y * wout) for a random wout.
+
+    forward(*arrays.values()) returns (y, cache) and backward(wout, cache)
+    one gradient per array, in arrays' order; arrays maps group names to
+    float64 arrays that forward reads (fd_check probes them in place)."""
+    y, cache = forward(*arrays.values())
+    wout = rng.uniform(-1, 1, y.shape)
+    grads = dict(zip(arrays, backward(wout, cache)))
+
+    def loss_fn():
+        return float((forward(*arrays.values())[0] * wout).sum())
+
+    return fd_check(loss_fn, arrays, grads, rng, n_samples=n_samples)
+
+
+def _prefixed(out, prefix, report):
+    out.update((f"{prefix}.{k}", v) for k, v in report.items())
 
 
 # ---------------------------------------------------------------------------
@@ -64,136 +82,83 @@ def _weighted_sum(shape, rng):
 
 def audit_conv(rng, deconv=False):
     x = rng.uniform(-1, 1, (2, 3, 6, 6))
-    if deconv:
-        w = rng.uniform(-1, 1, (3, 2, 3, 3))
-        b = rng.uniform(-1, 1, 2)
-    else:
-        w = rng.uniform(-1, 1, (4, 3, 3, 3))
-        b = rng.uniform(-1, 1, 4)
-    fwd = deconv2d_forward if deconv else conv2d_forward
-    bwd = deconv2d_backward if deconv else conv2d_backward
-
-    def kernel():
-        return ConvKernel(w, b, stride=2, pad=1)
-
-    y0, _ = fwd(x, kernel())
-    wout = _weighted_sum(y0.shape, rng)
-
-    def loss_fn():
-        y, _ = fwd(x, kernel())
-        return float((y * wout).sum())
-
-    _, cache = fwd(x, kernel())
-    gx, gw, gb = bwd(wout, cache, kernel())
-    return fd_check(loss_fn, {"input": x, "weights": w, "bias": b},
-                    {"input": gx, "weights": gw, "bias": gb}, rng)
+    w = rng.uniform(-1, 1, (3, 2, 3, 3) if deconv else (4, 3, 3, 3))
+    b = rng.uniform(-1, 1, w.shape[1 if deconv else 0])
+    fwd, bwd = ((deconv2d_forward, deconv2d_backward) if deconv
+                else (conv2d_forward, conv2d_backward))
+    return _audit_op(rng, lambda x, w, b: fwd(x, ConvKernel(w, b, stride=2, pad=1)),
+                     lambda g, cache: bwd(g, cache, ConvKernel(w, b, stride=2, pad=1)),
+                     {"input": x, "weights": w, "bias": b})
 
 
 def audit_pool(rng):
     x = rng.uniform(-1, 1, (2, 2, 6, 6))
-    y0, _ = maxpool2d_forward(x, 3, 3)
-    wout = _weighted_sum(y0.shape, rng)
-
-    def loss_fn():
-        y, _ = maxpool2d_forward(x, 3, 3)
-        return float((y * wout).sum())
-
-    _, cache = maxpool2d_forward(x, 3, 3)
-    gx = maxpool2d_backward(wout, cache)
-    return fd_check(loss_fn, {"input": x}, {"input": gx}, rng)
+    return _audit_op(rng, lambda x: maxpool2d_forward(x, 3, 3),
+                     lambda g, cache: [maxpool2d_backward(g, cache)], {"input": x})
 
 
 def audit_relu(rng):
     x = rng.uniform(-1, 1, (2, 3, 4, 4))
     # keep probes away from the kink
     x[np.abs(x) < 1e-3] += 0.01
-    y0, _ = relu_forward(x)
-    wout = _weighted_sum(y0.shape, rng)
-
-    def loss_fn():
-        y, _ = relu_forward(x)
-        return float((y * wout).sum())
-
-    _, cache = relu_forward(x)
-    gx = relu_backward(wout, cache)
-    return fd_check(loss_fn, {"input": x}, {"input": gx}, rng)
+    return _audit_op(rng, relu_forward, lambda g, cache: [relu_backward(g, cache)],
+                     {"input": x})
 
 
 def audit_layers(rng):
     out = {}
-    for tag, res in (("conv", audit_conv(rng)),
-                     ("deconv", audit_conv(rng, deconv=True)),
-                     ("pool", audit_pool(rng)),
-                     ("relu", audit_relu(rng))):
-        for k, v in res.items():
-            out[f"{tag}.{k}"] = v
+    for tag, audit in (("conv", audit_conv),
+                       ("deconv", partial(audit_conv, deconv=True)),
+                       ("pool", audit_pool),
+                       ("relu", audit_relu)):
+        _prefixed(out, tag, audit(rng))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Cell audits (two-step unroll so grad_h_prev chains are exercised)
 
+# Audit sizes by a kind's input form: spec fields and input dims.
+CELL_AUDIT_SIZES = {"vec": ({"hidden": 5}, (4,)),
+                    "chw": ({"hidden": 3, "kernel": 3}, (2, 5, 5))}
 
-def _unroll2(spec, weights, x1, x2, state0, rng):
-    """Audit the cell table's step and backward for one kind, which run the
-    module-level cell functions."""
+
+def _unroll2(rng, spec, in_dims):
+    """Audit the cell table's step and backward for spec's kind over two
+    steps from a random state (with a cell state when the kind carries one),
+    against every weight and both inputs."""
     cell = cells.CELLS[spec.kind]
+    weights = cell.random_params(spec, in_dims, rng, np.float64)
+    x1 = rng.uniform(-1, 1, in_dims)
+    x2 = rng.uniform(-1, 1, in_dims)
+    h0 = rng.uniform(-0.5, 0.5, (spec.hidden,) + in_dims[1:])
+    state0 = cells.RecurrentCellState(
+        h0, c=rng.uniform(-0.5, 0.5, h0.shape) if cell.carries_c else None)
     p = cell.bind(spec, weights)
-    s1, _ = cell.step(x1, state0, p)
-    s2, _ = cell.step(x2, s1, p)
-    wout = _weighted_sum(s2.h.shape, rng)
 
-    def loss_fn():
-        a, _ = cell.step(x1, state0, p)
-        b, _ = cell.step(x2, a, p)
-        return float((b.h * wout).sum())
+    def forward(*_):
+        s1, c1 = cell.step(x1, state0, p)
+        s2, c2 = cell.step(x2, s1, p)
+        return s2.h, (c1, c2)
 
-    s1, c1 = cell.step(x1, state0, p)
-    _, c2 = cell.step(x2, s1, p)
-    gx2, grad, g2 = cell.backward(cells.RecurrentCellState(wout), c2, p)
-    gx1, _, g1 = cell.backward(grad, c1, p)
-    grads = {k: g1[k] + g2[k] for k in g1}
-    grads["x1"] = gx1
-    grads["x2"] = gx2
-    return fd_check(loss_fn, dict(weights, x1=x1, x2=x2), grads, rng)
+    def backward(g, cache):
+        gx2, grad, g2 = cell.backward(cells.RecurrentCellState(g), cache[1], p)
+        gx1, _, g1 = cell.backward(grad, cache[0], p)
+        return [g1[k] + g2[k] for k in weights] + [gx1, gx2]
 
-
-def audit_gru(rng):
-    spec = RecurrentSpec("gru", hidden=5)
-    w = cells.CELLS[spec.kind].random_params(spec, (4,), rng, np.float64)
-    x1 = rng.uniform(-1, 1, 4)
-    x2 = rng.uniform(-1, 1, 4)
-    s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5))
-    return _unroll2(spec, w, x1, x2, s0, rng)
-
-
-def audit_conv_gru(rng):
-    spec = RecurrentSpec("conv_gru", hidden=3, kernel=3)
-    w = cells.CELLS[spec.kind].random_params(spec, (2, 5, 5), rng, np.float64)
-    x1 = rng.uniform(-1, 1, (2, 5, 5))
-    x2 = rng.uniform(-1, 1, (2, 5, 5))
-    s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, (3, 5, 5)))
-    return _unroll2(spec, w, x1, x2, s0, rng)
-
-
-def audit_lstm(rng, candidate_activation="sigmoid"):
-    spec = RecurrentSpec("lstm", hidden=5, candidate_activation=candidate_activation)
-    w = cells.CELLS[spec.kind].random_params(spec, (4,), rng, np.float64)
-    x1 = rng.uniform(-1, 1, 4)
-    x2 = rng.uniform(-1, 1, 4)
-    s0 = cells.RecurrentCellState(rng.uniform(-0.5, 0.5, 5),
-                                  c=rng.uniform(-0.5, 0.5, 5))
-    return _unroll2(spec, w, x1, x2, s0, rng)
+    return _audit_op(rng, forward, backward, dict(weights, x1=x1, x2=x2))
 
 
 def audit_cells(rng):
+    """Every kind in cells.CELLS with each candidate activation it takes,
+    tagged by the kind, and past its first candidate kind_candidate."""
     out = {}
-    for tag, res in (("gru", audit_gru(rng)),
-                     ("conv_gru", audit_conv_gru(rng)),
-                     ("lstm", audit_lstm(rng)),
-                     ("lstm_tanh", audit_lstm(rng, "tanh"))):
-        for k, v in res.items():
-            out[f"{tag}.{k}"] = v
+    for kind, cell in cells.CELLS.items():
+        fields, in_dims = CELL_AUDIT_SIZES[cell.input_form]
+        for i, candidate in enumerate(cell.candidates):
+            spec = RecurrentSpec(kind, candidate_activation=candidate, **fields)
+            _prefixed(out, f"{kind}_{candidate}" if i else kind,
+                      _unroll2(rng, spec, in_dims))
     return out
 
 
@@ -293,20 +258,15 @@ def _kink_clearance(model, frames):
         return y, cache
 
     def pool_probe(x, window, stride):
-        n, c, h, w = x.shape
-        ho = (h - window) // stride + 1
-        wo = (w - window) // stride + 1
-        sn, sc, sh, sw = x.strides
-        win = np.lib.stride_tricks.as_strided(
-            x, (n, c, ho, wo, window, window),
-            (sn, sc, sh * stride, sw * stride, sh, sw)).reshape(n, c, ho, wo, -1)
-        top2 = np.sort(win, axis=-1)[..., -2:]
+        y, cache = real_pool(x, window, stride)
+        taps = np.stack(list(_pool_taps(x, window, stride, *y.shape[2:])), axis=-1)
+        top2 = np.sort(taps, axis=-1)[..., -2:]
         margin = top2[..., 1] - top2[..., 0]
         if x is relu_out[0]:
             margin = margin[top2[..., 1] > 0]
         if margin.size:
             clearance[0] = min(clearance[0], float(margin.min()))
-        return real_pool(x, window, stride)
+        return y, cache
 
     model_mod.relu_forward = relu_probe
     model_mod.maxpool2d_forward = pool_probe
@@ -340,29 +300,21 @@ def audit_model(config, rng, n_samples=16):
         weights = cells.CELLS[spec.kind].random_params(spec, in_dims, rng, np.float64)
         model.params.update((f"cell.{k}", v) for k, v in weights.items())
     frames = _draw_frames(model, config, rng)
-    logits0, _ = forward_window(model, frames)
-    wout = _weighted_sum(logits0.shape, rng)
-
-    def loss_fn():
-        logits, _ = forward_window(model, frames)
-        return float((logits * wout).sum())
-
-    _, cache = forward_window(model, frames)
-    grads = backward_window(model, wout, cache)
-    return fd_check(loss_fn, dict(model.params), grads, rng, n_samples=n_samples)
+    return _audit_op(rng, lambda *_: forward_window(model, frames),
+                     lambda g, cache: backward_window(model, g, cache).values(),
+                     dict(model.params), n_samples=n_samples)
 
 
 def run_audit(seed=0, tol=1e-4):
     """Full audit used by the CLI; returns (report dict, ok flag)."""
     rng = Rng(seed)
     report = {}
-    for prefix, res in (("layer", audit_layers(rng)),
-                        ("cell", audit_cells(rng)),
-                        ("net.lenet", audit_model(tiny_lenet_config(), rng)),
-                        ("net.convgru", audit_model(tiny_convgru_config(), rng)),
-                        ("net.lstm", audit_model(tiny_lstm_config(), rng)),
-                        ("net.skip", audit_model(tiny_skip_config(), rng))):
-        for k, v in res.items():
-            report[f"{prefix}.{k}"] = v
+    for prefix, audit in (("layer", audit_layers), ("cell", audit_cells)):
+        _prefixed(report, prefix, audit(rng))
+    # each net is tagged by its fixture's name, tiny_<tag>_config
+    for config in (tiny_lenet_config, tiny_convgru_config, tiny_lstm_config,
+                   tiny_skip_config):
+        tag = config.__name__.removeprefix("tiny_").removesuffix("_config")
+        _prefixed(report, f"net.{tag}", audit_model(config(), rng))
     ok = all(v <= tol for v in report.values())
     return report, ok

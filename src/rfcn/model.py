@@ -23,7 +23,7 @@ import json
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,6 +40,41 @@ CHECKPOINT_MAGIC = b"RFCN"
 CHECKPOINT_VERSION = 1
 
 LAYER_KINDS = ("conv", "conv1x1", "deconv", "pool", "relu", "flatten", "unflatten")
+
+
+def _is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+# What the JSON value of a config field must be, by the field's annotated
+# type; a field of another type (the recurrent node) has its own from_dict.
+_JSON_TYPES = {
+    int: ("a non-negative integer", _is_count),
+    str: ("a string", lambda v: isinstance(v, str)),
+    tuple: ("a list of non-negative integers",
+            lambda v: isinstance(v, list) and all(map(_is_count, v))),
+    list: ("a list", lambda v: isinstance(v, list)),
+}
+
+
+def _checked(cls, d, where, required):
+    """Return the JSON object d once it fits the dataclass cls: every key
+    names a field, every name in required is present, and every value has
+    its field's JSON type. Raises ConfigError naming where otherwise."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in {where}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"{where} lacks keys {missing}")
+    for k, v in d.items():
+        what, ok = _JSON_TYPES.get(types[k], (None, None))
+        if ok and not ok(v):
+            raise ConfigError(f"{where}: {k} must be {what}, got {v!r}")
+    return d
 
 
 @dataclass
@@ -75,10 +110,8 @@ class LayerSpec:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(kind=d["kind"], size=d.get("size", 0), stride=d.get("stride", 0),
-                   pad=d.get("pad", 0), depth=d.get("depth", 0),
-                   target_shape=d.get("target_shape"))
+    def from_dict(cls, d, where):
+        return cls(**_checked(cls, d, where, ("kind",)))
 
 
 @dataclass
@@ -110,8 +143,7 @@ class RecurrentSpec:
     def from_dict(cls, d):
         if d is None:
             return None
-        return cls(kind=d["kind"], hidden=d["hidden"], kernel=d.get("kernel", 0),
-                   candidate_activation=d.get("candidate_activation", "sigmoid"))
+        return cls(**_checked(cls, d, "recurrent", ("kind", "hidden")))
 
 
 @dataclass
@@ -123,6 +155,10 @@ class SkipLink:
 
     def to_dict(self):
         return {"source": self.source, "target": self.target}
+
+    @classmethod
+    def from_dict(cls, d, where):
+        return cls(**_checked(cls, d, where, ("source", "target")))
 
 
 @dataclass
@@ -156,21 +192,25 @@ class ArchitectureConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            name=d["name"],
-            input_shape=tuple(d["input_shape"]),
-            num_classes=d["num_classes"],
-            window=d.get("window", 3),
-            pre=[LayerSpec.from_dict(s) for s in d["pre"]],
-            recurrent=RecurrentSpec.from_dict(d.get("recurrent")),
-            post=[LayerSpec.from_dict(s) for s in d["post"]],
-            skip_links=[SkipLink(s["source"], s["target"])
-                        for s in d.get("skip_links", [])],
-        )
+        """The one judge of a malformed config: raises ConfigError for a
+        non-object, missing or unknown keys at any level, and values of the
+        wrong JSON type."""
+        _checked(cls, d, "config", ("name", "input_shape", "num_classes", "pre", "post"))
+        chains = {k: [parse(s, f"{k}[{i}]") for i, s in enumerate(d.get(k, []))]
+                  for k, parse in (("pre", LayerSpec.from_dict),
+                                   ("post", LayerSpec.from_dict),
+                                   ("skip_links", SkipLink.from_dict))}
+        return cls(**dict(d, recurrent=RecurrentSpec.from_dict(d.get("recurrent")),
+                          **chains))
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        """Parse JSON text, a str or UTF-8 bytes, through from_dict."""
+        try:
+            d = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"config is not valid JSON: {e}") from e
+        return cls.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +263,10 @@ def _layer_output_shape(spec, shape):
     if spec.kind == "unflatten":
         if kind != "vec":
             raise ConfigError("unflatten needs a vector input")
-        if int(np.prod(spec.target_shape)) != dims[0]:
-            raise ConfigError(
-                f"unflatten target {spec.target_shape} != vector length {dims[0]}")
+        target = spec.target_shape
+        if target is None or len(target) != 3 or int(np.prod(target)) != dims[0]:
+            raise ConfigError(f"unflatten target {target} is not a (C, H, W) "
+                              f"of the vector's {dims[0]} values")
         return ("chw", spec.target_shape), params
     raise ConfigError(f"unknown layer kind {spec.kind!r}")
 
@@ -768,15 +809,9 @@ def load_checkpoint(path, dtype=np.float32):
         (clen,) = struct.unpack("<I", _read(f, 4, "config length"))
         text = _read(f, clen, "config")
         try:
-            config = ArchitectureConfig.from_json(text.decode("utf-8"))
-        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as e:
-            # ValueError covers JSONDecodeError and UnicodeDecodeError; the
-            # others come from fields of the wrong type or an unknown kind
-            raise CheckpointError(f"embedded config unreadable: {e}") from e
-        try:
+            config = ArchitectureConfig.from_json(text)
             report = shape_check(config)
-        except (ConfigError, TypeError) as e:
-            # TypeError: a layer field of the wrong type, e.g. a string size
+        except ConfigError as e:
             raise CheckpointError(f"embedded config invalid: {e}") from e
         (count,) = struct.unpack("<I", _read(f, 4, "tensor count"))
         params = OrderedDict()

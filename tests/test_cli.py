@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rfcn.cli import main
+from rfcn.cli import EXIT_VERIFY, main
 from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
                         RecurrentSpec, init_model, load_checkpoint,
                         save_checkpoint)
@@ -274,6 +274,45 @@ def test_usage_errors_exit_2(tmp_path, dataset):
                "--max-epochs", "1"])
     assert rc == 2
     assert not os.path.exists(out)
+
+
+def test_malformed_architecture_file_exits_2(tmp_path, dataset, capsys):
+    """A malformed --arch file is one error line and exit 2: no traceback,
+    and no key the config does not have is dropped without a word."""
+    doc = json.load(open(tiny_arch(tmp_path)))
+    no_name = {k: v for k, v in doc.items() if k != "name"}
+    string_size = json.loads(json.dumps(doc))
+    string_size["pre"][0]["size"] = "3"
+    misspelt = json.loads(json.dumps(doc))
+    misspelt["pre"][0]["strides"] = 2
+    for name, text in (("invalid", '{"name": "cli-tiny",'), ("list", "[1, 2]"),
+                       ("no-name", json.dumps(no_name)),
+                       ("string-size", json.dumps(string_size)),
+                       ("misspelt-stride", json.dumps(misspelt))):
+        arch = tmp_path / f"{name}.json"
+        arch.write_text(text)
+        out = tmp_path / f"{name}.ckpt"
+        rc = main(["train", "--arch", str(arch), "--data", dataset,
+                   "--out", str(out), "--max-epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2, name
+        assert err.startswith("error: ") and err.count("\n") == 1, (name, err)
+        assert not out.exists()
+
+
+def test_gradcheck_prints_every_group_and_exits_4_over_tolerance(capsys, monkeypatch):
+    from rfcn import gradcheck
+    reports = []
+    run_audit = gradcheck.run_audit
+    monkeypatch.setattr(gradcheck, "run_audit",
+                        lambda **kw: reports.append(run_audit(**kw)) or reports[-1])
+    assert main(["gradcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == sorted(reports[0][0])
+    assert all(line.endswith("  ok") for line in lines[:-1])
+    assert lines[-1].startswith("max relative error: ")
+    assert lines[-1].endswith("(tolerance 0.0001)")
+    assert main(["gradcheck", "--tol", "0"]) == EXIT_VERIFY
 
 
 def test_runtime_errors_exit_1(tmp_path):

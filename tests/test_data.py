@@ -1,6 +1,7 @@
 """Data pipeline tests: IDX files, sub-pixel motion, raster IO, windows,
 manifests."""
 
+import json
 import os
 import tempfile
 
@@ -267,8 +268,8 @@ def test_generate_dataset_manifest_and_determinism(tmp_path):
     d2 = str(tmp_path / "b")
     m1 = D.generate_dataset(d1, 4, 3, seed=9, n_train=3)
     m2 = D.generate_dataset(d2, 4, 3, seed=9, n_train=3)
-    mode, window, entries = D.read_manifest(m1)
-    assert mode == "binary" and window == 3
+    mode, entries = D.read_manifest(m1)
+    assert mode == "binary"
     assert [e.split for e in entries] == ["train"] * 3 + ["test"]
     # byte-identical regeneration
     for e in entries:
@@ -278,3 +279,9 @@ def test_generate_dataset_manifest_and_determinism(tmp_path):
     train = D.load_manifest_sequences(m1, split="train")
     test = D.load_manifest_sequences(m1, split="test")
     assert len(train) == 3 and len(test) == 1
+    # a manifest still holding the "window" key gen-data once wrote loads
+    doc = json.load(open(m1))
+    assert "window" not in doc
+    with open(m1, "w") as f:
+        json.dump(dict(doc, window=5), f)
+    assert D.read_manifest(m1) == (mode, entries)

@@ -2,8 +2,9 @@
 
 import numpy as np
 
+from rfcn import cells
 from rfcn.gradcheck import (DENOM_FLOOR, STEP, _kink_clearance, audit_model,
-                            fd_check, rel_err, tiny_convgru_config,
+                            fd_check, rel_err, run_audit, tiny_convgru_config,
                             tiny_lenet_config, tiny_lstm_config,
                             tiny_skip_config)
 from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec, SkipLink,
@@ -105,3 +106,19 @@ def test_audit_model_audits_a_pool_after_a_cell():
         report = audit_model(pool_after_cell_config(), Rng(seed))
         assert "skip.0.score.weights" in report
         assert max(report.values()) <= 1e-6, seed
+
+
+def test_audit_covers_every_kind_and_candidate_in_the_cell_table(monkeypatch):
+    """The cell audits walk cells.CELLS: a kind added to the table is audited
+    with no change to gradcheck, against each of its weights and both
+    inputs; every (kind, candidate) is tagged by the kind, or past the kind's
+    first candidate by kind_candidate."""
+    monkeypatch.setitem(cells.CELLS, "gru_copy", cells.CELLS[cells.GRU])
+    report, ok = run_audit(seed=0)
+    assert ok
+    assert {k for k in report if k.startswith("cell.gru_copy.")} == {
+        f"cell.gru_copy.{w}" for w in cells.CELLS[cells.GRU].weight_names + ("x1", "x2")}
+    for kind, cell in cells.CELLS.items():
+        for i, candidate in enumerate(cell.candidates):
+            tag = f"{kind}_{candidate}" if i else kind
+            assert f"cell.{tag}.x1" in report, tag

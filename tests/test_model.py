@@ -114,6 +114,42 @@ def test_config_json_roundtrip():
     assert " " not in cfg.to_json().split('"name"')[0]
 
 
+def test_config_from_json_rejects_malformed_configs_at_any_level():
+    """from_json is the one judge of a malformed config: each of these is a
+    ConfigError, not a KeyError, a TypeError or a silently dropped key."""
+    good = json.loads(preset("rfcn-8s-sketch").to_json())
+    edits = (lambda d: d.update(pre=5),
+             lambda d: d.update(input_shape=[3, "96", 96]),
+             lambda d: d.update(num_classes=True),
+             lambda d: d.update(recurrent=[]),
+             lambda d: d["recurrent"].update(kernal=3),
+             lambda d: d["recurrent"].pop("hidden"),
+             lambda d: d["recurrent"].update(kind=["gru"]),
+             lambda d: d["post"][1].update(depth=128.0),
+             lambda d: d["pre"][0].update(pad=-1),
+             lambda d: d["post"].append("relu"),
+             lambda d: d["skip_links"][0].pop("target"),
+             lambda d: d["skip_links"][0].update(source="0"))
+    for edit in edits:
+        d = json.loads(json.dumps(good))
+        edit(d)
+        with pytest.raises(ConfigError):
+            ArchitectureConfig.from_json(json.dumps(d))
+        with pytest.raises(ConfigError):
+            ArchitectureConfig.from_json(json.dumps(d).encode("utf-8"))
+    for text in ("", "{", b"\xff", "null", '"rfc-12s"'):
+        with pytest.raises(ConfigError):
+            ArchitectureConfig.from_json(text)
+
+
+def test_shape_check_rejects_an_unflatten_without_a_chw_target():
+    for target in (None, (64,), (1, 1, 8, 8)):
+        cfg = small_config()
+        cfg.post = [LayerSpec("unflatten", target_shape=target)]
+        with pytest.raises(ConfigError):
+            shape_check(cfg)
+
+
 def test_init_model_is_deterministic():
     m1 = init_model(small_config(), Rng(42))
     m2 = init_model(small_config(), Rng(42))
