@@ -234,7 +234,7 @@ def build_parser():
     e.add_argument("--ckpt")
     e.add_argument("--data", required=True)
     e.add_argument("--report", required=True)
-    e.add_argument("--split", choices=("train", "test"), default="test")
+    e.add_argument("--split", choices=data_mod.SPLITS, default="test")
     e.add_argument("--per-frame", action="store_true")
     e.add_argument("--threshold", type=float, default=0.5)
     e.add_argument("--window", type=int, default=3)

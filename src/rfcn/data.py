@@ -38,7 +38,7 @@ class MotionSpec:
 
 @dataclass
 class VideoSequence:
-    frames: list  # CHW float arrays in [0, 1]
+    frames: list  # CHW FRAME_DTYPE pixels, or floats in [0, 1]
     masks: list   # HW MASK_DTYPE class maps, 0 = background
     source_id: str = ""
 
@@ -250,6 +250,20 @@ MASK_DTYPE = np.uint8
 background. Ids run 0-255 because masks are stored as 8-bit PGM files."""
 MAX_CLASS_ID = int(np.iinfo(MASK_DTYPE).max)
 
+FRAME_DTYPE = np.uint8
+"""The dtype of every frame the library loads: (C, H, W) pixels as the
+8-bit PGM/PPM file holds them, scaled to [0, 1] only at the network input
+(frame_values)."""
+
+
+def frame_values(frame):
+    """The network's view of a frame: a FRAME_DTYPE frame scaled to float32
+    in [0, 1], or a float frame unchanged. The scale is float32 whatever the
+    model's dtype, so a float64 model sees the values a float32 one does."""
+    if frame.dtype == FRAME_DTYPE:
+        return frame.astype(np.float32) / 255.0
+    return frame
+
 
 def _to_bytes(path, data, what):
     """Samples for an 8-bit netpbm file: floats in [0, 1] are scaled and
@@ -313,11 +327,11 @@ def read_ppm(path):
 
 
 def read_frame(path):
-    """One frame file as a (C, H, W) float32 array in [0, 1]: a .ppm file is
-    read as RGB, any other as a PGM."""
-    if path.endswith(".ppm"):
-        return read_ppm(path).astype(np.float32) / 255.0
-    return read_pgm(path)[None].astype(np.float32) / 255.0
+    """One frame file as an owned, writable, C-contiguous (C, H, W)
+    FRAME_DTYPE array: a .ppm file is read as RGB, any other as a PGM."""
+    pixels = read_ppm(path) if path.endswith(".ppm") else read_pgm(path)[None]
+    # a copy: the reader returns a read-only view of the file's bytes
+    return np.array(pixels, dtype=FRAME_DTYPE, order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -430,31 +444,60 @@ def write_manifest(path, entries, mode="binary"):
     os.replace(tmp, path)
 
 
+SPLITS = ("train", "test")
+
+
+def _manifest_entry(path, i, s):
+    """Entry i of a manifest's "sequences", checked field by field; a
+    missing "split" means train."""
+    if not isinstance(s, dict):
+        raise DataError(f"manifest {path}: sequence {i} is not an object")
+    for key in ("id", "dir"):
+        if not isinstance(s.get(key), str):
+            raise DataError(f"manifest {path}: sequence {i} needs a string {key!r}")
+    length = s.get("length")
+    if isinstance(length, bool) or not isinstance(length, int) or length < 0:
+        raise DataError(f"manifest {path}: sequence {i} needs a non-negative "
+                        f"integer 'length', got {length!r}")
+    split = s.get("split", "train")
+    if split not in SPLITS:
+        raise DataError(f"manifest {path}: sequence {i} split must be one of "
+                        f"{SPLITS}, got {split!r}")
+    return ManifestEntry(s["id"], s["dir"], length, split)
+
+
 def read_manifest(path):
-    """(mask mode, entries) of a manifest; keys it does not use, such as the
-    "window" older manifests hold, are ignored."""
+    """The entries of a manifest. Keys it does not use are ignored: the
+    "mode" writers keep as a record of how the masks were made, and the
+    "window" older manifests hold."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
-    entries = [ManifestEntry(s["id"], s["dir"], s["length"], s.get("split", "train"))
-               for s in doc.get("sequences", [])]
-    return doc.get("mode", "binary"), entries
+    if not isinstance(doc, dict):
+        raise DataError(f"manifest {path} must be a JSON object")
+    sequences = doc.get("sequences")
+    if not isinstance(sequences, list):
+        raise DataError(f"manifest {path}: 'sequences' must be a list")
+    return [_manifest_entry(path, i, s) for i, s in enumerate(sequences)]
 
 
 def load_manifest_sequences(path, split=None):
-    """Load sequences listed in a manifest, optionally filtered by split."""
+    """Load sequences listed in a manifest, optionally filtered by split;
+    each must hold as many frames as its entry's length says."""
     base = os.path.dirname(os.path.abspath(path))
-    _, entries = read_manifest(path)
     out = []
-    for e in entries:
+    for e in read_manifest(path):
         if split is not None and e.split != split:
             continue
         d = os.path.join(base, e.directory)
-        out.append(load_frame_directory(
-            os.path.join(d, "frames"), os.path.join(d, "masks"),
-            source_id=e.sequence_id))
+        seq = load_frame_directory(os.path.join(d, "frames"), os.path.join(d, "masks"),
+                                   source_id=e.sequence_id)
+        if len(seq) != e.length:
+            raise DataError(f"manifest {path}: sequence {e.sequence_id!r} holds "
+                            f"{len(seq)} frames, its entry says {e.length}")
+        out.append(seq)
     return out
 
 

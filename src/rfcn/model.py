@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import cells
-from .data import MAX_CLASS_ID
-from .errors import CheckpointError, ConfigError, ShapeError
+from .data import FRAME_DTYPE, MAX_CLASS_ID, frame_values
+from .errors import CheckpointError, ConfigError, DataError, ShapeError
 from .layers import (ConvKernel, bilinear_kernel, conv2d_backward, conv2d_forward,
                      conv_output_dim, deconv2d_backward, deconv2d_forward,
                      deconv_output_dim, flatten, identity_kernel, maxpool2d_backward,
@@ -501,20 +501,24 @@ class WindowCache:
 
 
 def check_frames(model, frames):
-    """Raise ShapeError naming the first frame whose shape is not the input's."""
+    """Raise ShapeError naming the first frame whose shape is not the input's,
+    and DataError for one that is neither FRAME_DTYPE pixels nor floats."""
     shape = model.config.input_shape
     if len(frames) < 1:
         raise ShapeError("window must contain at least one frame")
     for t, f in enumerate(frames):
         if f.shape != shape:
             raise ShapeError(f"frame {t} shape {f.shape} != input {shape}")
+        if f.dtype != FRAME_DTYPE and f.dtype.kind != "f":
+            raise DataError(f"frame {t} dtype {f.dtype} is neither "
+                            f"{np.dtype(FRAME_DTYPE)} pixels nor floats")
 
 
 def _forward(model, frames, emit_from, cache=None, features=None):
-    """The one forward loop: frame by frame, run the pre chain, step the cell
-    from the zero state, and for every t >= emit_from run the post chain and
-    yield (t, logits (C,H,W)). A net without a cell skips the frames before
-    emit_from.
+    """The one forward loop: frame by frame, run the pre chain on the frame's
+    values (data.frame_values), step the cell from the zero state, and for
+    every t >= emit_from run the post chain and yield (t, logits (C,H,W)). A
+    net without a cell skips the frames before emit_from.
 
     Given a WindowCache, each frame's layer and cell caches and the last
     emission's post-chain caches go into it. Given a features dict
@@ -535,7 +539,7 @@ def _forward(model, frames, emit_from, cache=None, features=None):
         if features is not None and id(f) in features:
             x = features[id(f)][1]
         else:
-            x, layer_caches = _chain_forward(model, "pre", f[None])
+            x, layer_caches = _chain_forward(model, "pre", frame_values(f)[None])
             if cache is not None:
                 cache.pre.append(layer_caches)
             if features is not None:

@@ -115,6 +115,85 @@ def test_predict_rejects_frames_of_the_wrong_size(tmp_path, capsys):
             assert not os.path.exists(out), case
 
 
+def test_predict_rejects_frame_directories_it_cannot_read(tmp_path, capsys):
+    """Frames that are not 8-bit PGM/PPM images of the checkpoint's shape
+    exit 1 with one error line, windowed or streamed, and create no output
+    directory: a non-image file, a subdirectory, a 16-bit PGM, a colour
+    frame among grey ones, an empty directory and a missing one."""
+    from rfcn import data
+    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(cfg, Rng(4)), ckpt)
+    grey = np.zeros((28, 28), dtype=np.uint8)
+
+    def frames(tag, extra=None):
+        d = tmp_path / tag
+        os.makedirs(d)
+        for t in range(3):
+            data.write_pgm(str(d / f"frame_{t:04d}.pgm"), grey)
+        if extra is not None:
+            extra(d / "frame_0001b")
+        return d
+
+    cases = {
+        "text": frames("text", lambda p: p.with_suffix(".txt").write_text("hi\n")),
+        "subdir": frames("subdir", os.makedirs),
+        "maxval": frames("maxval", lambda p: p.with_suffix(".pgm").write_bytes(
+            b"P5\n28 28\n65535\n" + bytes(2 * 28 * 28))),
+        "colour": frames("colour", lambda p: data.write_ppm(
+            str(p.with_suffix(".ppm")), np.zeros((3, 28, 28), dtype=np.uint8))),
+        "empty": tmp_path / "empty",
+        "missing": tmp_path / "missing",
+    }
+    os.makedirs(cases["empty"])
+    for (tag, d), flags in itertools.product(cases.items(), ([], ["--stream"])):
+        out = tmp_path / "masks"
+        capsys.readouterr()
+        rc = main(["predict", "--ckpt", ckpt, "--frames", str(d),
+                   "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1, (tag, flags)
+        assert err.startswith("error: ") and err.count("\n") == 1, (tag, err)
+        assert not out.exists(), (tag, flags)
+
+
+def test_malformed_manifest_exits_1(tmp_path, dataset, capsys):
+    """A manifest that is not an object holding a list of well-formed
+    sequence entries is one error line and exit 1, not a traceback, and a
+    misspelt split is not silently dropped from both splits."""
+    doc = json.load(open(dataset))
+    base = os.path.dirname(dataset)
+
+    def entry(**edit):
+        seqs = [dict(s) for s in doc["sequences"]]
+        seqs[0].update(edit)
+        for k in [k for k, v in edit.items() if v is None]:
+            del seqs[0][k]
+        return dict(doc, sequences=seqs)
+
+    cases = {
+        "list": [1], "string-sequences": dict(doc, sequences="seq_00000"),
+        "no-sequences": {"mode": "binary"},
+        "entry-not-object": dict(doc, sequences=[1]),
+        "no-id": entry(id=None), "int-id": entry(id=3),
+        "no-dir": entry(dir=None), "list-dir": entry(dir=["seq_00000"]),
+        "no-length": entry(length=None), "negative-length": entry(length=-1),
+        "string-length": entry(length="3"), "float-length": entry(length=3.0),
+        "bool-length": entry(length=True), "misspelt-split": entry(split="tset"),
+    }
+    for tag, bad in cases.items():
+        manifest = os.path.join(base, f"{tag}.json")
+        with open(manifest, "w") as f:
+            json.dump(bad, f)
+        report = tmp_path / f"{tag}.report.json"
+        rc = main(["eval", "--oracle", "--data", manifest, "--report", str(report),
+                   "--split", "train"])
+        err = capsys.readouterr().err
+        assert rc == 1, tag
+        assert err.startswith("error: ") and err.count("\n") == 1, (tag, err)
+        assert not report.exists(), tag
+
+
 def test_windowed_predict_matches_per_window_predict(tmp_path):
     """Windowed `rfcn predict` shares each frame's trunk across windows; its
     masks are byte-identical to one training.predict call per window."""

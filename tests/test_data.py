@@ -208,12 +208,46 @@ def test_save_load_sequence_roundtrip(tmp_path):
     back = D.load_frame_directory(d + "/frames", d + "/masks", source_id="s")
     assert len(back) == 4
     for f1, f2 in zip(seq.frames, back.frames):
-        assert np.abs(f1 - f2).max() <= 1 / 255 + 1e-7
+        assert np.abs(f1 - D.frame_values(f2)).max() <= 1 / 255 + 1e-7
     for m1, m2 in zip(seq.masks, back.masks):
         npt.assert_array_equal(m1, m2)
-        assert m2.dtype == np.uint8
-        # owned and writable, not a read-only view of the file's bytes
-        assert m2.flags.owndata and m2.flags.writeable
+    # owned and writable, not read-only views of the files' bytes
+    for a in back.frames + back.masks:
+        assert a.dtype == np.uint8
+        assert a.flags.owndata and a.flags.writeable
+
+
+def test_load_frame_directory_keeps_owned_contiguous_pixels(tmp_path):
+    """Frames load as the file's bytes: an owned, writable, C-contiguous
+    (C, H, W) uint8 array, for a grey PGM and an RGB PPM sequence (a PPM's
+    samples are interleaved in the file, planar in the frame)."""
+    rng = np.random.default_rng(412)
+    for channels in (1, 3):
+        pixels = rng.integers(0, 256, (2, channels, 5, 7), dtype=np.uint8)
+        seq = D.VideoSequence(list(pixels), list(pixels[:, 0] % 2))
+        d = str(tmp_path / f"c{channels}")
+        D.save_sequence(seq, d)
+        back = D.load_frame_directory(d + "/frames", d + "/masks")
+        for want, frame in zip(pixels, back.frames):
+            assert frame.dtype == D.FRAME_DTYPE == np.uint8, channels
+            assert frame.flags.owndata and frame.flags.writeable, channels
+            assert frame.flags.c_contiguous, channels
+            npt.assert_array_equal(frame, want)
+
+
+def test_frame_values_of_every_level_is_the_float_frame_bitwise(tmp_path):
+    """frame_values scales each 8-bit level exactly as frames were once
+    loaded (float32, then / 255.0), and leaves float frames as they are."""
+    levels = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    p = str(tmp_path / "levels.pgm")
+    D.write_pgm(p, levels)
+    got = D.frame_values(D.read_frame(p))
+    want = np.array([[[np.float32(v) / np.float32(255.0) for v in row]
+                      for row in levels]], dtype=np.float32)
+    assert got.dtype == np.float32 and got.shape == (1, 16, 16)
+    assert got.tobytes() == want.tobytes()
+    for floats in (want, want.astype(np.float64)):
+        assert D.frame_values(floats) is floats
 
 
 @st.composite
@@ -237,7 +271,9 @@ def test_save_load_sequence_roundtrips_masks_bitwise(seq):
                                       os.path.join(d, "masks"))
     assert len(back) == len(seq)
     for f1, f2, m1, m2 in zip(seq.frames, back.frames, seq.masks, back.masks):
-        npt.assert_array_equal(f2, f1)
+        assert f2.dtype == np.uint8
+        assert f2.flags.owndata and f2.flags.writeable
+        npt.assert_array_equal(D.frame_values(f2), f1)
         assert m2.dtype == np.uint8
         npt.assert_array_equal(m2, m1)
 
@@ -268,8 +304,9 @@ def test_generate_dataset_manifest_and_determinism(tmp_path):
     d2 = str(tmp_path / "b")
     m1 = D.generate_dataset(d1, 4, 3, seed=9, n_train=3)
     m2 = D.generate_dataset(d2, 4, 3, seed=9, n_train=3)
-    mode, entries = D.read_manifest(m1)
-    assert mode == "binary"
+    entries = D.read_manifest(m1)
+    # the mask mode stays in the file as a record; no reader needs it
+    assert json.load(open(m1))["mode"] == "binary"
     assert [e.split for e in entries] == ["train"] * 3 + ["test"]
     # byte-identical regeneration
     for e in entries:
@@ -284,4 +321,24 @@ def test_generate_dataset_manifest_and_determinism(tmp_path):
     assert "window" not in doc
     with open(m1, "w") as f:
         json.dump(dict(doc, window=5), f)
-    assert D.read_manifest(m1) == (mode, entries)
+    assert D.read_manifest(m1) == entries
+
+
+def test_manifest_length_must_match_the_sequence(tmp_path):
+    """A sequence directory that holds another number of frames than its
+    entry's length, such as a truncated copy, is a DataError."""
+    m = D.generate_dataset(str(tmp_path / "d"), 2, 4, seed=3, n_train=1)
+    assert [len(s) for s in D.load_manifest_sequences(m)] == [4, 4]
+    doc = json.load(open(m))
+    doc["sequences"][1]["length"] = 5
+    json.dump(doc, open(m, "w"))
+    assert len(D.load_manifest_sequences(m, split="train")) == 1
+    with pytest.raises(DataError, match="seq_00001.*4 frames.*says 5"):
+        D.load_manifest_sequences(m)
+    doc["sequences"][1]["length"] = 4
+    json.dump(doc, open(m, "w"))
+    seq_dir = tmp_path / "d" / doc["sequences"][0]["dir"]
+    for sub, name in (("frames", "frame_0003.pgm"), ("masks", "mask_0003.pgm")):
+        os.remove(seq_dir / sub / name)
+    with pytest.raises(DataError, match="seq_00000.*3 frames.*says 4"):
+        D.load_manifest_sequences(m, split="train")

@@ -1,6 +1,7 @@
 """Model tests: shape checking, presets, the window executor, streaming,
 and checkpoint serialization."""
 
+import itertools
 import json
 import struct
 from collections import OrderedDict
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfcn.errors import CheckpointError, ConfigError, ShapeError
+from rfcn.data import frame_values
+from rfcn.errors import CheckpointError, ConfigError, DataError, ShapeError
 from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
                         PRESET_NAMES, RecurrentSpec, SkipLink, backward_window,
                         forward_stream, forward_window, forward_windows, init_model,
@@ -279,6 +281,42 @@ def test_forward_windows_validates_frame_shape():
     for bad in ([np.zeros((1, 9, 9), dtype=np.float32)], []):
         with pytest.raises(ShapeError):
             list(forward_windows(m, [good, bad]))
+
+
+def test_pixel_frames_give_the_logits_of_their_values_bitwise():
+    """uint8 frames are scaled at the network input: every forward path
+    gives the logits, values and dtype, it gives on frame_values of those
+    frames, for a net with a cell and one without, at either model dtype."""
+    rng = np.random.default_rng(30)
+    pixels = [rng.integers(0, 256, (1, 8, 8), dtype=np.uint8) for _ in range(5)]
+    values = [frame_values(f) for f in pixels]
+    assert all(v.dtype == np.float32 for v in values)
+
+    def runs(m, frames):
+        yield forward_window(m, frames[:3])[0]
+        yield from forward_windows(m, [frames[t:t + 3] for t in range(3)])
+        yield from (logits for _, logits in forward_stream(m, frames))
+
+    for kind, dtype in itertools.product(("conv_gru", None), (np.float32, np.float64)):
+        m = init_model(small_config(kind=kind), Rng(31), dtype=dtype)
+        got, ref = list(runs(m, pixels)), list(runs(m, values))
+        assert len(got) == len(ref) == 7
+        for i, (a, b) in enumerate(zip(got, ref)):
+            assert a.dtype == b.dtype == dtype, (kind, dtype, i)
+            assert np.array_equal(a, b), (kind, dtype, i)
+
+
+def test_check_frames_rejects_frames_neither_pixels_nor_floats():
+    """An int64 frame would run as floats 0-255 and a bool frame as 0/1:
+    both are DataErrors, wherever they sit in the window."""
+    m = init_model(small_config(), Rng(1))
+    good = np.zeros((1, 8, 8), dtype=np.uint8)
+    for dtype in (np.int64, np.bool_):
+        for at in (0, 2):
+            frames = [good] * 3
+            frames[at] = np.zeros((1, 8, 8), dtype=dtype)
+            with pytest.raises(DataError, match=f"frame {at} dtype"):
+                forward_window(m, frames)
 
 
 def test_skip_link_contributes_to_output():
