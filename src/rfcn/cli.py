@@ -18,8 +18,8 @@ from .model import (ArchitectureConfig, PRESET_NAMES, check_frames,
                     forward_stream, forward_windows, init_model, load_checkpoint,
                     load_matching, preset, save_checkpoint, shape_check)
 from .tensor import Rng
-from .training import (TrainConfig, binary_target, evaluate, logits_to_mask,
-                       train)
+from .training import (MODES, OPTIMIZERS, TrainConfig, binary_target, evaluate,
+                       logits_to_mask, train)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -224,9 +224,9 @@ def build_parser():
     t.add_argument("--max-epochs", dest="max_epochs", type=int)
     t.add_argument("--batch-size", dest="batch_size", type=int)
     t.add_argument("--seed", type=int)
-    t.add_argument("--mode", choices=("end-to-end", "decoupled"))
+    t.add_argument("--mode", choices=MODES)
     t.add_argument("--patience", type=int)
-    t.add_argument("--optimizer", choices=("adadelta", "sgd"))
+    t.add_argument("--optimizer", choices=OPTIMIZERS)
     t.add_argument("--window", type=int, default=None)
     t.set_defaults(func=cmd_train)
 

@@ -299,37 +299,39 @@ def write_ppm(path, data):
         f.write(np.transpose(data, (1, 2, 0)).tobytes())
 
 
-def _read_netpbm(path, magic):
+def _read_netpbm(path, magics):
+    """An 8-bit binary netpbm file whose magic number is one of magics, as a
+    read-only (C, H, W) uint8 view of its bytes: one channel for P5, three
+    for P6."""
     with open(path, "rb") as f:
         data = f.read()
     m = re.match(rb"(P[56])\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", data)
-    if not m or m.group(1).decode() != magic:
-        raise DataError(f"{path}: not a binary {magic} file")
+    if not m or m.group(1).decode() not in magics:
+        raise DataError(f"{path}: not a binary {' or '.join(magics)} file")
     w, h, maxval = (int(m.group(i)) for i in (2, 3, 4))
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported")
-    depth = 1 if magic == "P5" else 3
+    depth = 1 if m.group(1) == b"P5" else 3
     raw = data[m.end():]
     if len(raw) < w * h * depth:
         raise DataError(f"{path}: truncated pixel data")
     arr = np.frombuffer(raw[:w * h * depth], dtype=np.uint8)
-    if depth == 1:
-        return arr.reshape(h, w)
-    return np.transpose(arr.reshape(h, w, 3), (2, 0, 1))
+    return np.transpose(arr.reshape(h, w, depth), (2, 0, 1))
 
 
 def read_pgm(path):
-    return _read_netpbm(path, "P5")
+    return _read_netpbm(path, ("P5",))[0]
 
 
 def read_ppm(path):
-    return _read_netpbm(path, "P6")
+    return _read_netpbm(path, ("P6",))
 
 
 def read_frame(path):
     """One frame file as an owned, writable, C-contiguous (C, H, W)
-    FRAME_DTYPE array: a .ppm file is read as RGB, any other as a PGM."""
-    pixels = read_ppm(path) if path.endswith(".ppm") else read_pgm(path)[None]
+    FRAME_DTYPE array: its magic number decides, P5 grey or P6 RGB,
+    whatever the file is named."""
+    pixels = _read_netpbm(path, ("P5", "P6"))
     # a copy: the reader returns a read-only view of the file's bytes
     return np.array(pixels, dtype=FRAME_DTYPE, order="C")
 

@@ -6,7 +6,8 @@ class RfcnError(Exception):
 
 
 class ShapeError(RfcnError):
-    """Tensor shapes are incompatible with the requested operation."""
+    """Tensor shapes, dtypes or memory layouts are incompatible with the
+    requested operation."""
 
 
 class NumericsError(RfcnError):

@@ -54,13 +54,17 @@ _JSON_TYPES = {
     tuple: ("a list of non-negative integers",
             lambda v: isinstance(v, list) and all(map(_is_count, v))),
     list: ("a list", lambda v: isinstance(v, list)),
+    list[str]: ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
 }
 
 
 def _checked(cls, d, where, required):
-    """Return the JSON object d once it fits the dataclass cls: every key
-    names a field, every name in required is present, and every value has
-    its field's JSON type. Raises ConfigError naming where otherwise."""
+    """Return the JSON object d (or a dataclass's field values by name) once
+    it fits the dataclass cls: every key names a field, every name in
+    required is present, and every value has its field's JSON type. Raises
+    ConfigError naming where otherwise."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
     types = {f.name: f.type for f in fields(cls)}
@@ -398,10 +402,6 @@ def init_model(config, rng, dtype=np.float32):
     return ModelInstance(config=config, params=params, dtype=dtype)
 
 
-def zero_grads(model):
-    return OrderedDict((k, np.zeros_like(v)) for k, v in model.params.items())
-
-
 # ---------------------------------------------------------------------------
 # Layer execution
 
@@ -427,6 +427,18 @@ def _layer_forward(spec, params, prefix, x):
     raise ConfigError(f"unknown layer kind {kind!r}")
 
 
+def _add_grad(grads, params, name, g):
+    """Sum g into grads[name] as into zeros of params[name]'s dtype: a
+    parameter's first gradient array becomes its sum (cast if its dtype is
+    another, as float frames in a float32 net give), and later ones are
+    added into it in place. Every backward returns fresh arrays it holds
+    nowhere else, so the sum may take one over."""
+    if name in grads:
+        grads[name] += g
+    else:
+        grads[name] = g.astype(params[name].dtype, copy=False)
+
+
 def _layer_backward(spec, params, prefix, grad, cache, grads):
     """Returns the gradient at one layer's input and adds its weight
     gradients into grads. Only kinds `_layer_forward` accepted reach here."""
@@ -439,8 +451,8 @@ def _layer_backward(spec, params, prefix, grad, cache, grads):
         return grad.reshape(cache)
     backward = deconv2d_backward if kind == "deconv" else conv2d_backward
     gx, gw, gb = backward(grad, cache, _kernel(spec, params, prefix))
-    grads[f"{prefix}.weights"] += gw
-    grads[f"{prefix}.bias"] += gb
+    _add_grad(grads, params, f"{prefix}.weights", gw)
+    _add_grad(grads, params, f"{prefix}.bias", gb)
     return gx
 
 
@@ -591,8 +603,9 @@ def forward_windows(model, windows):
 
 
 def backward_window(model, grad_logits, cache):
-    """BPTT over one window; returns a dict of gradients for every parameter."""
-    grads = zero_grads(model)
+    """BPTT over one window; returns a dict of gradients for every parameter,
+    in model.params' order. The arrays are the caller's to keep or change."""
+    grads = {}
     grad_node = _chain_backward(model, "post", grad_logits[None], cache.post,
                                 grads, cache.skip)
     feat_grads = [grad_node]  # without a cell, the node is the last frame's features
@@ -606,11 +619,11 @@ def backward_window(model, grad_logits, cache):
         for cell_cache in reversed(cache.cell):
             gx, grad, cgrads = cell.backward(grad, cell_cache, p)
             for name, gval in cgrads.items():
-                grads[f"cell.{name}"] += gval
+                _add_grad(grads, model.params, f"cell.{name}", gval)
             feat_grads.insert(0, gx[None] if spatial else gx)
     for g, pre_caches in zip(feat_grads, cache.pre):
         _chain_backward(model, "pre", g, pre_caches, grads)
-    return grads
+    return OrderedDict((k, grads[k]) for k in model.params)
 
 
 def forward_stream(model, frames):

@@ -12,15 +12,16 @@ fine-tunes the whole network.
 """
 
 import fnmatch
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import metrics as metrics_mod
 from .data import MASK_DTYPE
-from .errors import ConfigError, DataError, DivergenceError, ShapeError
-from .model import backward_window, forward_window, forward_windows
+from .errors import ConfigError, DataError, DivergenceError, NumericsError, ShapeError
+from .model import _checked, backward_window, forward_window, forward_windows
 from .tensor import Rng, sigmoid
 
 LOG_COLUMNS = ("epoch", "loss", "precision", "recall", "f_measure", "iou")
@@ -70,6 +71,12 @@ def multiclass_cross_entropy(logits, target):
 # Optimizers
 
 
+# Elements per slice of an optimizer step: a slice of the parameter, its
+# gradient, both accumulators and the two scratch buffers stay in cache across
+# the step's expressions (16K- and 4K-element slices measured slower).
+CHUNK = 1 << 16
+
+
 @dataclass
 class AdadeltaState:
     rho: float = 0.95
@@ -78,23 +85,62 @@ class AdadeltaState:
     acc_update: dict = field(default_factory=dict)  # E[dx^2]
 
 
+def _target(params, name, g):
+    """The parameter a step writes in place. Raises ShapeError for a gradient
+    whose shape or dtype is not the parameter's, and for a parameter that is
+    not C-contiguous or not writable (reshape(-1) would copy it and the
+    update would be lost)."""
+    p = params[name]
+    if p.shape != g.shape:
+        raise ShapeError(f"grad shape {g.shape} != param {p.shape} for {name}")
+    if p.dtype != g.dtype:
+        raise ShapeError(f"grad dtype {g.dtype} != param {p.dtype} for {name}")
+    if not (p.flags.c_contiguous and p.flags.writeable):
+        raise ShapeError(f"param {name} is not a writable C-contiguous array")
+    return p
+
+
 def adadelta_step(params, grads, state):
-    """Apply one Adadelta update in place; accumulators are created lazily."""
+    """Apply one Adadelta update in place to each parameter in grads and its
+    two accumulators (created lazily, in the parameter's dtype). Each tensor
+    is run CHUNK elements at a time through two scratch buffers that every
+    tensor of the step reuses; each chunk goes through the module
+    docstring's recurrence, operation by operation as the comments group it,
+    so the result is bitwise that of the whole-tensor expressions."""
+    rho, eps = float(state.rho), float(state.eps)
+    n = min(CHUNK, max((g.size for g in grads.values()), default=0))
+    scratch = {}  # dtype -> two buffers of n elements
     for name, g in grads.items():
-        p = params[name]
-        if p.shape != g.shape:
-            raise ShapeError(f"grad shape {g.shape} != param {p.shape} for {name}")
-        eg = state.acc_grad.get(name)
-        ed = state.acc_update.get(name)
-        if eg is None:
-            eg = np.zeros_like(p, dtype=np.float64 if p.dtype == np.float64 else p.dtype)
-            ed = np.zeros_like(eg)
-        eg = state.rho * eg + (1 - state.rho) * g * g
-        dx = -np.sqrt(ed + state.eps) / np.sqrt(eg + state.eps) * g
-        ed = state.rho * ed + (1 - state.rho) * dx * dx
-        params[name] = p + dx.astype(p.dtype)
-        state.acc_grad[name] = eg
-        state.acc_update[name] = ed
+        p = _target(params, name, g)
+        if name not in state.acc_grad:
+            state.acc_grad[name] = np.zeros_like(p)
+            state.acc_update[name] = np.zeros_like(p)
+        if p.dtype not in scratch:
+            scratch[p.dtype] = (np.empty(n, p.dtype), np.empty(n, p.dtype))
+        flat = (p.reshape(-1), g.reshape(-1), state.acc_grad[name].reshape(-1),
+                state.acc_update[name].reshape(-1))
+        for start in range(0, p.size, CHUNK):
+            ps, gs, eg, ed = (a[start:start + CHUNK] for a in flat)
+            t, u = (b[:ps.size] for b in scratch[p.dtype])
+            # eg = rho*eg + ((1-rho)*g)*g
+            np.multiply(1 - rho, gs, out=t)
+            np.multiply(t, gs, out=t)
+            np.multiply(rho, eg, out=eg)
+            np.add(eg, t, out=eg)
+            # dx = (-sqrt(ed+eps) / sqrt(eg+eps))*g, into t
+            np.add(ed, eps, out=t)
+            np.sqrt(t, out=t)
+            np.negative(t, out=t)
+            np.add(eg, eps, out=u)
+            np.sqrt(u, out=u)
+            np.divide(t, u, out=t)
+            np.multiply(t, gs, out=t)
+            # ed = rho*ed + ((1-rho)*dx)*dx
+            np.multiply(1 - rho, t, out=u)
+            np.multiply(u, t, out=u)
+            np.multiply(rho, ed, out=ed)
+            np.add(ed, u, out=ed)
+            np.add(ps, t, out=ps)
     return params, state
 
 
@@ -104,8 +150,11 @@ class SgdState:
 
 
 def sgd_step(params, grads, state):
+    """Apply p -= lr*g in place to each parameter in grads."""
+    lr = float(state.lr)
     for name, g in grads.items():
-        params[name] = params[name] - state.lr * g.astype(params[name].dtype)
+        p = _target(params, name, g)
+        p -= lr * g
     return params, state
 
 
@@ -113,40 +162,53 @@ def sgd_step(params, grads, state):
 # Training loop
 
 
+MODES = ("end-to-end", "decoupled")
+OPTIMIZERS = ("adadelta", "sgd")
+
+
 @dataclass
 class TrainConfig:
+    """Training settings. A JSON train config (from_dict) and keyword
+    construction are judged by one rule, model._checked: counts are
+    non-negative integers, threshold, rho, eps and lr numbers, freeze a list
+    of fnmatch patterns; then batch_size >= 1, mode and optimizer one of
+    MODES and OPTIMIZERS, 0 <= rho < 1, and eps and lr finite and > 0."""
+
     max_epochs: int = 500
     batch_size: int = 1
-    mode: str = "end-to-end"  # end-to-end | decoupled
+    mode: str = "end-to-end"
     phase1_epochs: int = 0    # decoupled only, at most max_epochs; 0 = half of it
-    freeze: list = field(default_factory=list)  # fnmatch patterns
+    freeze: list[str] = field(default_factory=list)
     seed: int = 0
     patience: int = 20
     threshold: float = 0.5
-    optimizer: str = "adadelta"  # adadelta | sgd
+    optimizer: str = "adadelta"
     rho: float = 0.95
     eps: float = 1e-6
     lr: float = 0.1
 
     def __post_init__(self):
-        for name, low in (("max_epochs", 0), ("batch_size", 1), ("patience", 0),
-                          ("phase1_epochs", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if self.mode not in ("end-to-end", "decoupled"):
-            raise ConfigError(f"unknown training mode {self.mode!r}")
+        _checked(type(self), {f.name: getattr(self, f.name) for f in fields(self)},
+                 "train config", ())
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, choices in (("mode", MODES), ("optimizer", OPTIMIZERS)):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, "
+                                  f"got {getattr(self, name)!r}")
+        if not 0 <= self.rho < 1:
+            raise ConfigError(f"rho must be in [0, 1), got {self.rho!r}")
+        for name in ("eps", "lr"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, "
+                                  f"got {getattr(self, name)!r}")
         if self.mode == "decoupled" and self.phase1_epochs > self.max_epochs:
             raise ConfigError(f"phase1_epochs {self.phase1_epochs} exceeds "
                               f"max_epochs {self.max_epochs}")
 
     @classmethod
     def from_dict(cls, d):
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys {sorted(unknown)}")
-        return cls(**d)
+        return cls(**_checked(cls, d, "train config", ()))
 
 
 @dataclass
@@ -257,6 +319,11 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
     stopping enabled (patience > 0) each phase ends with the parameters
     restored to the epoch with the best evaluation F-measure; with patience 0
     the phase runs to completion and keeps the final parameters.
+
+    The arrays of model.params are updated and restored in place, never
+    rebound: a caller that keeps one across train must copy it. A
+    non-finite loss or logit while training raises DivergenceError carrying
+    the model.
     """
     if not train_samples and cfg.max_epochs > 0:
         raise DataError("training set is empty")
@@ -275,28 +342,28 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
         phases = [(cfg.max_epochs, _resolve_freeze(cfg.freeze, names))]
 
     rng = Rng(cfg.seed)
-    if cfg.optimizer == "adadelta":
-        opt_step = adadelta_step
-    elif cfg.optimizer == "sgd":
-        opt_step = sgd_step
-    else:
-        raise ConfigError(f"unknown optimizer {cfg.optimizer!r}")
-
+    # the step is looked up by name here, so a rebound module attribute (as
+    # a tracer installs) sees every call
+    adadelta = cfg.optimizer == "adadelta"
+    opt_step = adadelta_step if adadelta else sgd_step
     epoch = 0
     eval_samples = val_samples if val_samples else train_samples
     for n_epochs, frozen in phases:
         # fresh optimizer state per phase so fine-tuning starts cleanly
-        opt_state = AdadeltaState(rho=cfg.rho, eps=cfg.eps) \
-            if cfg.optimizer == "adadelta" else SgdState(lr=cfg.lr)
+        opt_state = (AdadeltaState(rho=cfg.rho, eps=cfg.eps) if adadelta
+                     else SgdState(lr=cfg.lr))
         best_f = -1.0
         best_params = None
         since_best = 0
         for _ in range(n_epochs):
             t0 = time.monotonic()
             order = rng.permutation(len(train_samples))
-            mean_loss = _run_epoch(model, train_samples, order, cfg, frozen,
-                                   opt_state, opt_step)
-            report = evaluate(model, eval_samples, threshold=cfg.threshold)
+            try:
+                mean_loss = _run_epoch(model, train_samples, order, cfg, frozen,
+                                       opt_state, opt_step)
+                report = evaluate(model, eval_samples, threshold=cfg.threshold)
+            except NumericsError as e:
+                raise DivergenceError(str(e), model=model) from e
             log.append(epoch, mean_loss, report, time.monotonic() - t0)
             if on_epoch is not None:
                 on_epoch(log.rows[-1])
@@ -311,5 +378,6 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
                 if cfg.patience and since_best >= cfg.patience:
                     break
         if cfg.patience and best_params is not None:
-            model.params.update(best_params)
+            for k, v in best_params.items():
+                model.params[k][...] = v
     return model, log

@@ -481,7 +481,50 @@ def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):
     rc = main(["train", "--arch", arch, "--data", dataset, "--out",
                str(tmp_path / "m2.ckpt"), "--init-ckpt", ckpt,
                "--max-epochs", "1", "--seed", "1"])
-    assert rc in (1, 3)  # NaN surfaces as a numerics fail-fast or divergence
+    assert rc == 3  # the NaN logits surface while training: a divergence
+    assert load_checkpoint(str(tmp_path / "m2.ckpt.debug")).params.keys() == m.params.keys()
+
+
+def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys):
+    """SGD at lr 1e8 drives fc-lenet's logits to inf within three epochs.
+    That fails check_finite before any loss is non-finite, and used to exit
+    1 with no debug checkpoint."""
+    data = str(tmp_path / "d")
+    assert main(["gen-data", "--out", data, "--sequences", "3", "--length", "4"]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"optimizer": "sgd", "lr": 1e8}))
+    out = str(tmp_path / "m.ckpt")
+    capsys.readouterr()
+    rc = main(["train", "--arch", "fc-lenet", "--data", os.path.join(data, "manifest.json"),
+               "--config", str(cfg), "--out", out, "--max-epochs", "3", "--patience", "0"])
+    assert rc == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    debug = load_checkpoint(out + ".debug")
+    assert debug.config.name == "fc-lenet"
+    # the diverged weights, not the initial ones
+    assert max(np.abs(v).max() for v in debug.params.values()) > 1e6
+
+
+def test_train_config_of_the_wrong_type_or_range_exits_2(tmp_path, capsys):
+    """Each bad train config field is one error line and exit 2 before any
+    data loads (the manifest does not exist), where it used to end in a
+    numpy traceback after set-up, train on a string seed, read a freeze
+    string as its characters, or fill the weights with NaN."""
+    cfg = tmp_path / "c.json"
+    out = str(tmp_path / "m.ckpt")
+    for config in ({"rho": "0.9"}, {"threshold": "x"}, {"eps": None},
+                   {"optimizer": "sgd", "lr": "0.1"}, {"seed": "3"},
+                   {"max_epochs": True}, {"freeze": "pre.*"}, {"eps": 0},
+                   {"eps": -1}, {"rho": 1.5}, {"lr": 0}, {"optimizer": "adam"}):
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        rc = main(["train", "--arch", "fc-lenet", "--data", str(tmp_path / "none.json"),
+                   "--config", str(cfg), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2, config
+        assert err.startswith("error: ") and err.count("\n") == 1, (config, err)
+        assert not os.path.exists(out), config
 
 
 def test_divergence_exit_3(tmp_path, dataset, monkeypatch):

@@ -193,6 +193,26 @@ def test_write_ppm_writes_one_byte_per_sample(tmp_path):
             D.write_ppm(p, np.full((3, 2, 2), bad, dtype=np.int64))
 
 
+def test_read_frame_decodes_by_magic_number_not_by_name(tmp_path):
+    """A P6 file named .PPM or .pnm and a P5 file named .ppm read as what
+    they hold; a mask must still be a P5 file."""
+    rng = np.random.default_rng(413)
+    colour = rng.integers(0, 256, (3, 4, 5), dtype=np.uint8)
+    grey = rng.integers(0, 256, (4, 5), dtype=np.uint8)
+    for name, write, pixels in (("x.PPM", D.write_ppm, colour),
+                                ("x.pnm", D.write_ppm, colour),
+                                ("g.ppm", D.write_pgm, grey)):
+        p = str(tmp_path / name)
+        write(p, pixels)
+        frame = D.read_frame(p)
+        assert frame.flags.owndata and frame.flags.c_contiguous, name
+        npt.assert_array_equal(frame, pixels.reshape((-1, 4, 5)), err_msg=name)
+    with pytest.raises(DataError):
+        D.read_pgm(str(tmp_path / "x.pnm"))
+    with pytest.raises(DataError):
+        D.read_ppm(str(tmp_path / "g.ppm"))
+
+
 def test_read_pgm_rejects_garbage(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"not a pgm at all")

@@ -212,6 +212,27 @@ def test_backward_window_covers_every_parameter():
         assert np.abs(grads["pre.0.conv.weights"]).max() > 0, kind
 
 
+def test_backward_window_hands_over_fresh_gradients_in_param_order():
+    """Each gradient is an array of its parameter's shape and dtype that
+    shares memory with no parameter and no other gradient, so optimizers and
+    batch sums may write into it; keys follow model.params."""
+    from rfcn.gradcheck import tiny_skip_config
+    configs = [small_config(kind=kind) for kind in SMALL_NETS] + [tiny_skip_config()]
+    for config, dtype in itertools.product(configs, (np.float32, np.float64)):
+        m = init_model(config, Rng(3), dtype=dtype)
+        rng = Rng(4)
+        frames = [rng.uniform(0, 1, config.input_shape) for _ in range(config.window)]
+        logits, cache = forward_window(m, frames)
+        grads = backward_window(m, np.ones_like(logits), cache)
+        assert list(grads) == list(m.params), config.name
+        arrays = list(grads.values()) + list(m.params.values())
+        for i, (k, g) in enumerate(grads.items()):
+            assert g.shape == m.params[k].shape and g.dtype == dtype, (config.name, k)
+            assert g.flags.writeable, (config.name, k)
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(g, other), (config.name, k)
+
+
 def test_forward_stream_first_emission_matches_window():
     for kind in SMALL_NETS:
         m = init_model(small_config(kind=kind), Rng(5))

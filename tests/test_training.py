@@ -1,17 +1,19 @@
 """Training tests: loss oracles, Adadelta against a scalar reference, the
 epoch loop, freezing, and early stopping."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from rfcn import data as D
 from rfcn import metrics
-from rfcn.errors import ConfigError, DataError, DivergenceError
+from rfcn.errors import ConfigError, DataError, DivergenceError, ShapeError
 from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
                         init_model)
 from rfcn.tensor import Rng, sigmoid
-from rfcn.training import (AdadeltaState, SgdState, TrainConfig, TrainLog,
+from rfcn.training import (CHUNK, AdadeltaState, SgdState, TrainConfig, TrainLog,
                            adadelta_step, binary_target, evaluate,
                            logistic_loss, logits_to_mask,
                            multiclass_cross_entropy, predict, sgd_step, train)
@@ -167,6 +169,80 @@ def test_sgd_step():
     npt.assert_allclose(params["x"], [0.9, 2.1])
 
 
+def whole_tensor_adadelta(params, grads, state):
+    """The whole-tensor Adadelta step adadelta_step replaced, kept as its
+    oracle: every expression over the full tensor, parameters rebound."""
+    for name, g in grads.items():
+        p = params[name]
+        eg = state.acc_grad.get(name)
+        ed = state.acc_update.get(name)
+        if eg is None:
+            eg = np.zeros_like(p, dtype=np.float64 if p.dtype == np.float64 else p.dtype)
+            ed = np.zeros_like(eg)
+        eg = state.rho * eg + (1 - state.rho) * g * g
+        dx = -np.sqrt(ed + state.eps) / np.sqrt(eg + state.eps) * g
+        ed = state.rho * ed + (1 - state.rho) * dx * dx
+        params[name] = p + dx.astype(p.dtype)
+        state.acc_grad[name] = eg
+        state.acc_update[name] = ed
+
+
+def test_adadelta_step_matches_the_whole_tensor_expressions_bitwise():
+    """Chunked and in place, the step equals the whole-tensor expressions bit
+    for bit over 20 steps: parameters and both accumulators, at float32 and
+    float64, for tensors on each side of a chunk boundary, all in one call so
+    they share the scratch buffers."""
+    sizes = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(520)
+        init = {f"t{n}": rng.standard_normal(n).astype(dtype) for n in sizes}
+        init["t3d"] = rng.standard_normal((3, 5, 7)).astype(dtype)
+        params = {k: v.copy() for k, v in init.items()}
+        oracle = {k: v.copy() for k, v in init.items()}
+        state, oracle_state = AdadeltaState(), AdadeltaState()
+        for step in range(20):
+            grads = {k: rng.standard_normal(v.shape).astype(dtype) for k, v in init.items()}
+            grads["t1"][...] = 0.0 if step % 2 else -0.0
+            adadelta_step(params, grads, state)
+            whole_tensor_adadelta(oracle, grads, oracle_state)
+        for k in init:
+            for got, want in ((params[k], oracle[k]),
+                              (state.acc_grad[k], oracle_state.acc_grad[k]),
+                              (state.acc_update[k], oracle_state.acc_update[k])):
+                assert got.dtype == want.dtype == dtype, (dtype, k)
+                assert got.tobytes() == want.tobytes(), (dtype, k)
+
+
+def test_optimizers_write_parameters_in_place():
+    for step, state in ((adadelta_step, AdadeltaState()), (sgd_step, SgdState())):
+        x = np.ones((2, 3), dtype=np.float32)
+        params = {"x": x}
+        step(params, {"x": np.full((2, 3), 0.5, dtype=np.float32)}, state)
+        assert params["x"] is x and np.all(x < 1), step.__name__
+
+
+def test_optimizers_reject_a_gradient_of_another_dtype_or_an_unwritable_param():
+    """A float64 gradient for a float32 parameter once turned the Adadelta
+    accumulators into float64; a parameter a flat view cannot write through
+    would lose its update."""
+    strided = np.zeros((4, 6), dtype=np.float32)[:, ::2]
+    read_only = np.zeros((4, 3), dtype=np.float32)
+    read_only.setflags(write=False)
+    cases = (
+        (np.zeros((4, 3), dtype=np.float32), np.ones((4, 3), dtype=np.float64)),
+        (strided, np.ones((4, 3), dtype=np.float32)),
+        (np.zeros((3, 4), dtype=np.float32).T, np.ones((4, 3), dtype=np.float32)),
+        (read_only, np.ones((4, 3), dtype=np.float32)),
+    )
+    for (p, g), (step, state) in itertools.product(
+            cases, ((adadelta_step, AdadeltaState()), (sgd_step, SgdState()))):
+        before = p.copy()
+        with pytest.raises(ShapeError):
+            step({"x": p}, {"x": g}, state)
+        assert p.tobytes() == before.tobytes()
+        assert not getattr(state, "acc_grad", None)
+
+
 # ---------------------------------------------------------------------------
 # Train config and log
 
@@ -198,6 +274,26 @@ def test_train_config_rejects_out_of_range_counts():
         TrainConfig(max_epochs=2, phase1_epochs=5, mode="decoupled")
     TrainConfig(max_epochs=0, batch_size=1, patience=0, phase1_epochs=0)
     TrainConfig(max_epochs=2, phase1_epochs=2, mode="decoupled")
+
+
+def test_train_config_judges_types_and_ranges_one_way():
+    """Keyword construction and from_dict share one rule: a bool is not a
+    count, a string is not a number or a seed, freeze is a list of strings,
+    and rho, eps and lr must lie where Adadelta and SGD stay finite."""
+    bad = (("max_epochs", True), ("seed", "3"), ("seed", 1.0), ("rho", "0.9"),
+           ("threshold", "x"), ("eps", None), ("lr", "0.1"), ("rho", True),
+           ("freeze", "pre.*"), ("freeze", [1]), ("optimizer", "adam"),
+           ("mode", 1), ("eps", 0), ("eps", -1), ("eps", float("inf")),
+           ("rho", 1.5), ("rho", 1), ("rho", -0.1), ("rho", float("nan")),
+           ("lr", 0), ("lr", -0.5))
+    for name, value in bad:
+        with pytest.raises(ConfigError):
+            TrainConfig(**{name: value})
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict({name: value})
+    cfg = TrainConfig.from_dict({"rho": 0, "eps": 1, "lr": 2, "threshold": 0,
+                                 "freeze": ["pre.*"], "optimizer": "sgd"})
+    assert (cfg.rho, cfg.eps, cfg.lr, cfg.freeze) == (0, 1, 2, ["pre.*"])
 
 
 def test_train_log_csv_layout():
@@ -279,6 +375,21 @@ def test_decoupled_needs_recurrent_node():
               TrainConfig(max_epochs=1, mode="decoupled"))
 
 
+def test_train_calls_each_step_through_the_module_attribute(monkeypatch):
+    """train looks its optimizer step up by name at call time, so a rebound
+    rfcn.training attribute (a profiler's wrapper) sees every step."""
+    from rfcn import training
+    samples = tiny_samples(2, Rng(508))
+    for optimizer in ("adadelta", "sgd"):
+        name = f"{optimizer}_step"
+        calls = []
+        original = getattr(training, name)
+        monkeypatch.setattr(training, name, lambda *a: calls.append(1) or original(*a))
+        train(init_model(tiny_config(), Rng(0)), samples,
+              TrainConfig(max_epochs=2, patience=0, optimizer=optimizer))
+        assert len(calls) == 2 * len(samples), optimizer
+
+
 def test_early_stopping_cuts_epochs():
     rng = Rng(509)
     samples = tiny_samples(3, rng)
@@ -288,12 +399,48 @@ def test_early_stopping_cuts_epochs():
 
 
 def test_divergence_raises_with_model_attached():
+    """A non-finite logit while training (here from a NaN cell bias) is a
+    divergence that carries the model, as a non-finite loss is."""
     rng = Rng(510)
     samples = tiny_samples(2, rng)
     m = init_model(tiny_config(), Rng(0))
     m.params["cell.b"] = np.full_like(m.params["cell.b"], np.nan)
-    with pytest.raises((DivergenceError, Exception)):
+    with pytest.raises(DivergenceError) as info:
         train(m, samples, TrainConfig(max_epochs=1))
+    assert info.value.model is m
+
+
+def test_train_updates_the_params_arrays_in_place():
+    """An array of model.params taken before train holds the trained values
+    after it, frozen tensors stay bitwise unchanged, and early stopping
+    restores the best epoch's values into the same arrays."""
+    samples = tiny_samples(3, Rng(506))
+    m = init_model(tiny_config(), Rng(0))
+    before = {k: v.copy() for k, v in m.params.items()}
+    held = dict(m.params)
+    m, _ = train(m, samples, TrainConfig(max_epochs=2, patience=0, freeze=["pre.0.*"]))
+    for k, v in m.params.items():
+        assert v is held[k], k
+        moved = v.tobytes() != before[k].tobytes()
+        assert moved == (not k.startswith("pre.0.")), k
+
+    m = init_model(tiny_config(), Rng(0))
+    held = dict(m.params)
+    snapshots = []
+
+    def snapshot(row):
+        snapshots.append({k: v.copy() for k, v in m.params.items()})
+
+    m, log = train(m, tiny_samples(3, Rng(509)), TrainConfig(max_epochs=50, patience=2, seed=1),
+                   on_epoch=snapshot)
+    best, best_f = None, -1.0
+    for i, row in enumerate(log.rows):  # train's own rule for a new best
+        if row["f_measure"] > best_f + 1e-6:
+            best, best_f = i, row["f_measure"]
+    assert best < len(log.rows) - 1  # the restore has something to undo
+    for k, v in m.params.items():
+        assert v is held[k], k
+        assert v.tobytes() == snapshots[best][k].tobytes(), k
 
 
 def test_predict_and_evaluate_shapes():
