@@ -216,7 +216,7 @@ def _random(name, shape, rng, dtype):
     """A zero bias or a scaled-fan-in weight."""
     if name.startswith("b"):
         return np.zeros(shape, dtype=dtype)
-    return fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
+    return fill_random(shape, rng, dtype)
 
 
 def _gru_init(name, shape, rng, dtype):

@@ -12,8 +12,7 @@ import sys
 from . import data as data_mod
 from . import gradcheck
 from . import metrics as metrics_mod
-from .errors import (CheckpointError, ConfigError, DataError, DivergenceError,
-                     NumericsError, RfcnError, ShapeError)
+from .errors import ConfigError, DataError, DivergenceError, RfcnError
 from .model import (ArchitectureConfig, PRESET_NAMES, check_frames,
                     forward_stream, forward_windows, init_model, load_checkpoint,
                     load_matching, preset, save_checkpoint, shape_check)
@@ -274,10 +273,7 @@ def main(argv=None):
     except DivergenceError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DataError, CheckpointError, ShapeError, NumericsError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except RfcnError as e:
+    except (RfcnError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

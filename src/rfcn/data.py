@@ -15,25 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
+from .tensor import Rng
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 DEFAULT_THRESHOLD = 0.5
 DEFAULT_MAX_OFFSET = 8.0
-
-
-@dataclass
-class MotionSpec:
-    """Constant per-sequence velocity in pixels/frame plus a boundary policy."""
-
-    velocity: tuple  # (dx, dy)
-    boundary: str = "bounce"  # bounce | clamp
-
-    def __post_init__(self):
-        if self.boundary not in ("bounce", "clamp"):
-            raise DataError(f"unknown boundary policy {self.boundary!r}")
 
 
 @dataclass
@@ -57,8 +46,6 @@ class SequenceSample:
 
     frames: list
     target: np.ndarray
-    sequence_id: str = ""
-    end_index: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +87,6 @@ def load_mnist_idx(images_path, labels_path):
     if count != lcount:
         raise DataError(f"image count {count} != label count {lcount}")
     return images.astype(np.float32) / 255.0, labels.astype(np.int64)
-
-
-def save_mnist_idx(images_path, labels_path, images, labels):
-    """Write an IDX pair (inverse of load_mnist_idx); images in [0, 1]."""
-    images = np.asarray(images)
-    labels = np.asarray(labels)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(np.clip(np.round(images * 255), 0, 255).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(labels.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +149,12 @@ def bilinear_translate(img, dy, dx):
             + sample(y0 + 1, x0 + 1) * fy * fx)
 
 
-def sample_motion(rng, min_speed=0.5, max_speed=2.0, boundary="bounce"):
-    """Uniform direction, speed uniform in [min_speed, max_speed] px/frame."""
+def sample_motion(rng):
+    """A (dx, dy) velocity: uniform direction, speed uniform in [0.5, 2]
+    px/frame."""
     angle = rng.uniform(0, 2 * np.pi)
-    speed = rng.uniform(min_speed, max_speed)
-    return MotionSpec((speed * np.cos(angle), speed * np.sin(angle)), boundary)
+    speed = rng.uniform(0.5, 2.0)
+    return speed * np.cos(angle), speed * np.sin(angle)
 
 
 MASK_MODES = ("binary", "semantic")
@@ -190,11 +165,12 @@ def _check_mode(mode):
         raise DataError(f"mask mode must be one of {MASK_MODES}, got {mode!r}")
 
 
-def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
-                     threshold=DEFAULT_THRESHOLD, max_offset=DEFAULT_MAX_OFFSET,
-                     source_id=""):
+def gen_moving_mnist(digits, labels, velocity, length, rng, mode="binary",
+                     max_offset=DEFAULT_MAX_OFFSET, source_id=""):
     """Synthesize one sequence by translating a randomly chosen digit with a
-    constant velocity; masks are the thresholded frames.
+    constant (dx, dy) velocity (sample_motion's when None) that bounces off
+    the offset bounds; masks are the frames thresholded at
+    DEFAULT_THRESHOLD.
 
     mode="binary" labels foreground as class 1; mode="semantic" labels it as
     digit class + 1, which must fit a mask (at most MAX_CLASS_ID).
@@ -208,12 +184,10 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
     if mode == "semantic" and int(np.max(labels)) + 1 > MAX_CLASS_ID:
         raise DataError(f"digit label {int(np.max(labels))} has class id above "
                         f"{MAX_CLASS_ID}, the largest a mask holds")
-    idx = rng.choice(digits.shape[0])
+    idx = int(rng.integers(digits.shape[0]))
     base = digits[idx]
     cls = 1 if mode == "binary" else int(labels[idx]) + 1
-    if motion is None:
-        motion = sample_motion(rng)
-    dx, dy = motion.velocity
+    dx, dy = sample_motion(rng) if velocity is None else velocity
     ox = rng.uniform(-max_offset, max_offset)
     oy = rng.uniform(-max_offset, max_offset)
     frames = []
@@ -221,16 +195,16 @@ def gen_moving_mnist(digits, labels, motion, length, rng, mode="binary",
     for _ in range(length):
         frame = bilinear_translate(base, oy, ox).astype(np.float32)
         frames.append(frame[None])
-        masks.append(np.where(frame > threshold, cls, 0).astype(MASK_DTYPE))
-        ox, dx = _advance(ox, dx, max_offset, motion.boundary)
-        oy, dy = _advance(oy, dy, max_offset, motion.boundary)
+        masks.append(np.where(frame > DEFAULT_THRESHOLD, cls, 0).astype(MASK_DTYPE))
+        ox, dx = _advance(ox, dx, max_offset)
+        oy, dy = _advance(oy, dy, max_offset)
     return VideoSequence(frames, masks, source_id=source_id)
 
 
-def _advance(pos, vel, bound, policy):
+def _advance(pos, vel, bound):
     pos = pos + vel
     # a range of zero width has no walls to bounce between: pin the position
-    if policy == "clamp" or bound <= 0:
+    if bound <= 0:
         return float(np.clip(pos, -bound, bound)), vel
     # bounce: reflect off the offset bounds, flipping velocity
     while pos > bound or pos < -bound:
@@ -323,10 +297,6 @@ def read_pgm(path):
     return _read_netpbm(path, ("P5",))[0]
 
 
-def read_ppm(path):
-    return _read_netpbm(path, ("P6",))
-
-
 def read_frame(path):
     """One frame file as an owned, writable, C-contiguous (C, H, W)
     FRAME_DTYPE array: its magic number decides, P5 grey or P6 RGB,
@@ -382,40 +352,18 @@ def load_frame_directory(frames_dir, masks_dir, source_id=""):
 
 
 # ---------------------------------------------------------------------------
-# Windows and splits
+# Windows
 
 
-def sliding_windows(seq, window, stride=1):
+def sliding_windows(seq, window):
     """All length-T windows in order; each sample targets its last frame's mask."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     if window > len(seq):
         raise DataError(f"window {window} exceeds sequence length {len(seq)}")
-    samples = []
-    for end in range(window - 1, len(seq), stride):
-        samples.append(SequenceSample(
-            frames=seq.frames[end - window + 1:end + 1],
-            target=seq.masks[end],
-            sequence_id=seq.source_id,
-            end_index=end,
-        ))
-    return samples
-
-
-def split_train_test(sequences, fraction, window, stride=1):
-    """Temporal per-sequence split: the first `fraction` of each sequence's
-    windows go to train, the rest to test. No shuffling across time."""
-    if not 0 < fraction < 1:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
-    train = []
-    test = []
-    for seq in sequences:
-        windows = sliding_windows(seq, window, stride)
-        k = int(fraction * len(windows))
-        if k < 1 or k >= len(windows):
-            raise DataError(
-                f"sequence {seq.source_id!r} too short to split at {fraction}")
-        train.extend(windows[:k])
-        test.extend(windows[k:])
-    return train, test
+    return [SequenceSample(frames=seq.frames[end - window + 1:end + 1],
+                           target=seq.masks[end])
+            for end in range(window - 1, len(seq))]
 
 
 # ---------------------------------------------------------------------------
@@ -504,28 +452,32 @@ def load_manifest_sequences(path, split=None):
 
 
 def generate_dataset(out_dir, n_sequences, length, seed, n_train=None,
-                     mode="binary", digits=None, labels=None,
-                     threshold=DEFAULT_THRESHOLD):
+                     mode="binary", digits=None, labels=None):
     """Generate a moving-digit dataset on disk plus its manifest.
 
-    Deterministic for a fixed seed: per-sequence RNGs are split from the root
-    seed, so the output tree is byte-identical across runs.
+    Deterministic for a fixed seed: per-sequence RNGs are spawned from the
+    root seed, so the output tree is byte-identical across runs. Counts out
+    of range (fewer than one sequence or frame, n_train outside
+    0..n_sequences) are a ConfigError raised before out_dir is made.
     """
-    from .tensor import Rng
-
     _check_mode(mode)
+    if n_train is None:
+        n_train = int(round(0.7 * n_sequences))
+    if n_sequences < 1 or length < 1:
+        raise ConfigError(f"need at least one sequence of at least one frame, "
+                          f"got {n_sequences} of {length}")
+    if not 0 <= n_train <= n_sequences:
+        raise ConfigError(f"training sequences must be in 0..{n_sequences}, "
+                          f"got {n_train}")
     if digits is None:
         digits, labels = builtin_digits()
     os.makedirs(out_dir, exist_ok=True)
-    root = Rng(seed)
-    rngs = root.split(max(n_sequences, 1))
-    if n_train is None:
-        n_train = int(round(0.7 * n_sequences))
+    rngs = Rng(seed).spawn(n_sequences)
     entries = []
     for i in range(n_sequences):
         sid = f"seq_{i:05d}"
         seq = gen_moving_mnist(digits, labels, None, length, rngs[i], mode=mode,
-                               threshold=threshold, source_id=sid)
+                               source_id=sid)
         save_sequence(seq, os.path.join(out_dir, sid))
         entries.append(ManifestEntry(
             sid, sid, length, "train" if i < n_train else "test"))

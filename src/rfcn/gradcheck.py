@@ -30,7 +30,7 @@ def rel_err(analytic, numeric):
     return abs(analytic - numeric) / max(a, n, DENOM_FLOOR)
 
 
-def fd_check(loss_fn, arrays, analytic, rng, n_samples=24, step=STEP):
+def fd_check(loss_fn, arrays, analytic, rng, n_samples=24):
     """Compare analytic gradients against central differences.
 
     arrays maps group name -> float64 array (mutated in place during
@@ -46,12 +46,12 @@ def fd_check(loss_fn, arrays, analytic, rng, n_samples=24, step=STEP):
         worst = 0.0
         for i in coords:
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + STEP
             fp = loss_fn()
-            flat[i] = orig - step
+            flat[i] = orig - STEP
             fm = loss_fn()
             flat[i] = orig
-            worst = max(worst, rel_err(g[i], (fp - fm) / (2 * step)))
+            worst = max(worst, rel_err(g[i], (fp - fm) / (2 * STEP)))
         results[name] = worst
     return results
 
@@ -278,11 +278,11 @@ def _kink_clearance(model, frames):
     return clearance[0]
 
 
-def _draw_frames(model, config, rng, step=STEP, attempts=16):
-    for _ in range(attempts):
+def _draw_frames(model, config, rng):
+    for _ in range(16):
         frames = [rng.uniform(0, 1, config.input_shape)
                   for _ in range(config.window)]
-        if _kink_clearance(model, frames) > 50 * step:
+        if _kink_clearance(model, frames) > 50 * STEP:
             return frames
     raise RfcnError("could not draw audit frames clear of relu/pool kinks")
 

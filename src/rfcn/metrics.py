@@ -78,16 +78,16 @@ def _pooled_counts(pairs):
     return counts
 
 
-def precision_recall_f(counts, cls=FOREGROUND):
-    tp, fp, fn = counts.get(cls)
+def precision_recall_f(counts):
+    tp, fp, fn = counts.get(FOREGROUND)
     p = tp / (tp + fp) if tp + fp else 1.0
     r = tp / (tp + fn) if tp + fn else 1.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return p, r, f
 
 
-def iou(counts, cls=FOREGROUND):
-    tp, fp, fn = counts.get(cls)
+def iou(counts):
+    tp, fp, fn = counts.get(FOREGROUND)
     return tp / (tp + fp + fn) if tp + fp + fn else 1.0
 
 

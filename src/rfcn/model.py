@@ -398,7 +398,7 @@ def init_model(config, rng, dtype=np.float32):
               and config.recurrent is not None and shape[0] == shape[1]):
             params[name] = identity_kernel(shape, POST_CELL_GAIN, dtype)
         else:
-            params[name] = fill_random(shape, rng, "scaled-fan-in", dtype=dtype)
+            params[name] = fill_random(shape, rng, dtype)
     return ModelInstance(config=config, params=params, dtype=dtype)
 
 
@@ -859,8 +859,12 @@ def load_checkpoint(path, dtype=np.float32):
 def load_matching(model, path):
     """Copy tensors from a checkpoint into an existing model where names and
     shapes agree (used to seed a recurrent net from its non-recurrent
-    baseline). Returns the copied names."""
+    baseline). Returns the copied names. A non-finite tensor anywhere in
+    the checkpoint is a CheckpointError, raised before any is copied."""
     other = load_checkpoint(path, dtype=model.dtype)
+    for name, arr in other.params.items():
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: tensor {name} holds a non-finite value")
     copied = []
     for name, arr in other.params.items():
         if name in model.params and model.params[name].shape == arr.shape:

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import NumericsError, ShapeError
 
-DEFAULT_DTYPE = np.float32
-
 
 def check_finite(x, op):
     """Raise NumericsError naming the first non-finite entry of x."""
@@ -34,54 +32,20 @@ def sigmoid(x):
     return np.maximum(e, x >= 0) / (1 + e)
 
 
-class Rng:
-    """Deterministic PRNG (numpy PCG64) with a documented seed-split scheme.
-
-    Identical seeds produce identical scalar streams on every platform.
-    Children spawned via split() are independent and reproducible.
-    """
-
-    algorithm = "PCG64"
-
-    def __init__(self, seed, _seq=None):
-        self.seed = int(seed) if _seq is None else None
-        self._seq = _seq if _seq is not None else np.random.SeedSequence(int(seed))
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    def split(self, n):
-        """Derive n independent child generators (SeedSequence.spawn)."""
-        return [Rng(0, _seq=child) for child in self._seq.spawn(n)]
-
-    def uniform(self, lo, hi, shape=None):
-        return self._gen.uniform(lo, hi, shape)
-
-    def integers(self, lo, hi):
-        return int(self._gen.integers(lo, hi))
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
-
-    def choice(self, n):
-        return int(self._gen.integers(0, n))
+def Rng(seed):
+    """The library's PRNG: a numpy Generator on PCG64, pinned so identical
+    seeds give identical streams on every platform; independent, reproducible
+    children come from its spawn(n)."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
-def fill_random(shape, rng, dist="uniform", lo=-1.0, hi=1.0, fan_in=None,
-                dtype=DEFAULT_DTYPE):
-    """Draw a tensor from the given distribution.
-
-    dist="uniform" draws U[lo, hi); dist="scaled-fan-in" draws
-    U[-sqrt(6/fan_in), +sqrt(6/fan_in)) with fan_in defaulting to the product
-    of all dims past the first.
-    """
+def fill_random(shape, rng, dtype):
+    """Draw U[-sqrt(6/fan_in), +sqrt(6/fan_in)), fan_in the product of all
+    dims past the first (the only dim of a 1-d shape)."""
     shape = tuple(int(s) for s in shape)
     if any(s < 0 for s in shape):
         raise ShapeError(f"negative extent in shape {shape}")
-    if dist == "scaled-fan-in":
-        if fan_in is None:
-            fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
-        bound = np.sqrt(6.0 / fan_in)
-        lo, hi = -bound, bound
-    elif dist != "uniform":
-        raise ValueError(f"unknown distribution {dist!r}")
-    out = rng.uniform(lo, hi, shape).astype(dtype)
+    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
+    bound = np.sqrt(6.0 / fan_in)
+    out = rng.uniform(-bound, bound, shape).astype(dtype)
     return check_finite(out, "fill_random")

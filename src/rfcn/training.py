@@ -13,7 +13,6 @@ fine-tunes the whole network.
 
 import fnmatch
 import math
-import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -214,18 +213,15 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     rows: list = field(default_factory=list)  # dicts keyed by LOG_COLUMNS
-    wall_clock: list = field(default_factory=list)
 
-    def append(self, epoch, loss, report, seconds):
+    def append(self, epoch, loss, report):
         self.rows.append({
             "epoch": epoch, "loss": loss,
             "precision": report["precision"], "recall": report["recall"],
             "f_measure": report["f_measure"], "iou": report["iou"],
         })
-        self.wall_clock.append(seconds)
 
     def to_csv(self):
-        # wall clock deliberately excluded so logs are reproducible run to run
         lines = [",".join(LOG_COLUMNS)]
         for row in self.rows:
             lines.append(",".join(
@@ -356,7 +352,6 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
         best_params = None
         since_best = 0
         for _ in range(n_epochs):
-            t0 = time.monotonic()
             order = rng.permutation(len(train_samples))
             try:
                 mean_loss = _run_epoch(model, train_samples, order, cfg, frozen,
@@ -364,7 +359,7 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
                 report = evaluate(model, eval_samples, threshold=cfg.threshold)
             except NumericsError as e:
                 raise DivergenceError(str(e), model=model) from e
-            log.append(epoch, mean_loss, report, time.monotonic() - t0)
+            log.append(epoch, mean_loss, report)
             if on_epoch is not None:
                 on_epoch(log.rows[-1])
             epoch += 1

@@ -230,7 +230,7 @@ def toy_12s_dataset():
     canvas = np.zeros((10, 24, 36), dtype=np.float32)
     canvas[:, :, 4:32] = digits[:, 2:26, :]
     tr, te = [], []
-    for i, rng in enumerate(Rng(11).split(70)):
+    for i, rng in enumerate(Rng(11).spawn(70)):
         seq = D.gen_moving_mnist(canvas, labels, None, 5, rng, max_offset=4.0)
         (tr if i < 55 else te).extend(D.sliding_windows(seq, 3))
     return tr, te

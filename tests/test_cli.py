@@ -468,7 +468,11 @@ def test_checkpoint_with_a_non_utf8_name_exits_1(tmp_path, dataset, capsys):
     assert "unexpected tensor" in capsys.readouterr().err
 
 
-def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):
+def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset, capsys):
+    """A NaN in an --init-ckpt is a fault of the input: exit 1 naming the
+    tensor before training, with no checkpoint and no debug checkpoint. The
+    poisoned file itself still loads, as a diverged run's debug checkpoint
+    must."""
     arch = tiny_arch(tmp_path)
     ckpt = str(tmp_path / "m.ckpt")
     # train once, poison a cell bias with NaN, resume from the checkpoint
@@ -478,11 +482,38 @@ def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset):
     m = load_checkpoint(ckpt)
     m.params["cell.b"] = np.full_like(m.params["cell.b"], np.nan)
     save_checkpoint(m, ckpt)
-    rc = main(["train", "--arch", arch, "--data", dataset, "--out",
-               str(tmp_path / "m2.ckpt"), "--init-ckpt", ckpt,
-               "--max-epochs", "1", "--seed", "1"])
-    assert rc == 3  # the NaN logits surface while training: a divergence
-    assert load_checkpoint(str(tmp_path / "m2.ckpt.debug")).params.keys() == m.params.keys()
+    assert np.isnan(load_checkpoint(ckpt).params["cell.b"]).all()
+    out = tmp_path / "m2.ckpt"
+    capsys.readouterr()
+    rc = main(["train", "--arch", arch, "--data", dataset, "--out", str(out),
+               "--init-ckpt", ckpt, "--max-epochs", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "cell.b" in captured.err and "epoch" not in captured.out
+    assert not out.exists() and not (tmp_path / "m2.ckpt.debug").exists()
+
+
+def test_out_of_range_counts_exit_2_and_write_nothing(tmp_path, dataset, capsys):
+    """gen-data with fewer than one sequence or frame, or more training
+    sequences than sequences, and eval --oracle with a window below 1, each
+    exit 2 with one error line and write no directory or report."""
+    for flags in (["--sequences", "-1"], ["--sequences", "0"],
+                  ["--sequences", "3", "--train", "5"],
+                  ["--sequences", "3", "--train", "-1"],
+                  ["--sequences", "2", "--length", "0"]):
+        out = tmp_path / "gen"
+        capsys.readouterr()
+        rc = main(["gen-data", "--out", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert rc == 2, flags
+        assert err.startswith("error: ") and err.count("\n") == 1, (flags, err)
+        assert not out.exists(), flags
+    for window in ("0", "-2"):
+        report = tmp_path / "r.json"
+        rc = main(["eval", "--oracle", "--data", dataset, "--report", str(report),
+                   "--window", window])
+        assert rc == 2, window
+        assert not report.exists(), window
 
 
 def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys):

@@ -3,6 +3,7 @@ manifests."""
 
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -13,8 +14,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rfcn import data as D
-from rfcn.errors import DataError
+from rfcn.errors import ConfigError, DataError
 from rfcn.tensor import Rng
+
+
+def save_mnist_idx(images_path, labels_path, images, labels):
+    """Write an IDX pair (inverse of load_mnist_idx); images in [0, 1]."""
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    n, rows, cols = images.shape
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">IIII", D.IDX_IMAGES_MAGIC, n, rows, cols))
+        f.write(np.clip(np.round(images * 255), 0, 255).astype(np.uint8).tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">II", D.IDX_LABELS_MAGIC, n))
+        f.write(labels.astype(np.uint8).tobytes())
 
 
 def test_mnist_idx_roundtrip(tmp_path):
@@ -23,7 +37,7 @@ def test_mnist_idx_roundtrip(tmp_path):
     labels = np.arange(7) % 10
     ip = str(tmp_path / "imgs.idx")
     lp = str(tmp_path / "lbls.idx")
-    D.save_mnist_idx(ip, lp, images, labels)
+    save_mnist_idx(ip, lp, images, labels)
     back_i, back_l = D.load_mnist_idx(ip, lp)
     assert back_i.shape == (7, 28, 28)
     assert back_i.dtype == np.float32
@@ -42,7 +56,7 @@ def test_mnist_idx_truncated(tmp_path):
     rng = Rng(401)
     ip = str(tmp_path / "imgs.idx")
     lp = str(tmp_path / "lbls.idx")
-    D.save_mnist_idx(ip, lp, rng.uniform(0, 1, (3, 28, 28)), np.zeros(3, int))
+    save_mnist_idx(ip, lp, rng.uniform(0, 1, (3, 28, 28)), np.zeros(3, int))
     data = open(ip, "rb").read()
     open(ip, "wb").write(data[:-10])
     with pytest.raises(DataError):
@@ -86,25 +100,19 @@ def test_bilinear_translate_mass_conservation_away_from_border():
 def test_advance_bounce_stays_in_bounds_and_reflects():
     pos, vel = 7.5, 2.0
     for _ in range(100):
-        pos, vel = D._advance(pos, vel, 8.0, "bounce")
+        pos, vel = D._advance(pos, vel, 8.0)
         assert -8.0 <= pos <= 8.0
     # one explicit reflection
-    p, v = D._advance(7.5, 2.0, 8.0, "bounce")
+    p, v = D._advance(7.5, 2.0, 8.0)
     assert p == pytest.approx(6.5)
     assert v == -2.0
-
-
-def test_advance_clamp_pins_at_bound():
-    p, v = D._advance(7.5, 2.0, 8.0, "clamp")
-    assert p == 8.0 and v == 2.0
 
 
 def test_gen_moving_mnist_zero_offset_bound_returns():
     """With no room to move, a bouncing digit stays put instead of
     reflecting off the zero-width range forever."""
     digits, labels = D.builtin_digits()
-    motion = D.MotionSpec((1.5, -0.5), "bounce")
-    seq = D.gen_moving_mnist(digits, labels, motion, 4, Rng(405), max_offset=0)
+    seq = D.gen_moving_mnist(digits, labels, (1.5, -0.5), 4, Rng(405), max_offset=0)
     assert len(seq) == 4
     for frame in seq.frames[1:]:
         npt.assert_array_equal(frame, seq.frames[0])
@@ -167,7 +175,7 @@ def test_pgm_ppm_roundtrip(tmp_path):
     color = (rng.uniform(0, 1, (3, 5, 6)) * 255).astype(np.uint8)
     p2 = str(tmp_path / "img.ppm")
     D.write_ppm(p2, color)
-    npt.assert_array_equal(D.read_ppm(p2), color)
+    npt.assert_array_equal(D.read_frame(p2), color)
 
 
 def test_write_pgm_rejects_integers_outside_a_byte(tmp_path):
@@ -187,7 +195,7 @@ def test_write_ppm_writes_one_byte_per_sample(tmp_path):
     sevens = np.full((3, 2, 2), 7, dtype=np.int64)
     D.write_ppm(p, sevens)
     assert os.path.getsize(p) == len(b"P6\n2 2\n255\n") + sevens.size
-    npt.assert_array_equal(D.read_ppm(p), sevens)
+    npt.assert_array_equal(D.read_frame(p), sevens)
     for bad in (300, -1):
         with pytest.raises(DataError):
             D.write_ppm(p, np.full((3, 2, 2), bad, dtype=np.int64))
@@ -209,8 +217,6 @@ def test_read_frame_decodes_by_magic_number_not_by_name(tmp_path):
         npt.assert_array_equal(frame, pixels.reshape((-1, 4, 5)), err_msg=name)
     with pytest.raises(DataError):
         D.read_pgm(str(tmp_path / "x.pnm"))
-    with pytest.raises(DataError):
-        D.read_ppm(str(tmp_path / "g.ppm"))
 
 
 def test_read_pgm_rejects_garbage(tmp_path):
@@ -303,20 +309,15 @@ def test_sliding_windows_targets_last_frame():
     seq = D.gen_moving_mnist(digits, labels, None, 6, Rng(408))
     samples = D.sliding_windows(seq, 3)
     assert len(samples) == 4
-    for s in samples:
+    for end, s in enumerate(samples, start=2):
         assert len(s.frames) == 3
-        npt.assert_array_equal(s.target, seq.masks[s.end_index])
-        assert s.frames[-1] is seq.frames[s.end_index]
+        npt.assert_array_equal(s.target, seq.masks[end])
+        assert s.frames[-1] is seq.frames[end]
     with pytest.raises(DataError):
         D.sliding_windows(seq, 7)
-
-
-def test_split_train_test_is_temporal():
-    digits, labels = D.builtin_digits()
-    seq = D.gen_moving_mnist(digits, labels, None, 10, Rng(409))
-    train, test = D.split_train_test([seq], 0.75, window=3)
-    assert len(train) + len(test) == 8
-    assert max(s.end_index for s in train) < min(s.end_index for s in test)
+    for window in (0, -2):
+        with pytest.raises(ConfigError):
+            D.sliding_windows(seq, window)
 
 
 def test_generate_dataset_manifest_and_determinism(tmp_path):

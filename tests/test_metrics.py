@@ -140,7 +140,7 @@ def test_category_iou_remaps_before_tallying():
     assert mean == 1.0
     # without the category view the same pair scores zero on class 1
     counts = accumulate(pred, truth)
-    assert iou(counts, 1) == 0.0
+    assert iou(counts) == 0.0
 
 
 def test_remap_requires_complete_map():

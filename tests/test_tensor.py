@@ -69,8 +69,8 @@ def test_rng_determinism_and_split_independence():
     b = Rng(123).uniform(0, 1, 100)
     npt.assert_array_equal(a, b)
     # children are reproducible and differ from each other
-    kids1 = [r.uniform(0, 1, 10) for r in Rng(7).split(3)]
-    kids2 = [r.uniform(0, 1, 10) for r in Rng(7).split(3)]
+    kids1 = [r.uniform(0, 1, 10) for r in Rng(7).spawn(3)]
+    kids2 = [r.uniform(0, 1, 10) for r in Rng(7).spawn(3)]
     for k1, k2 in zip(kids1, kids2):
         npt.assert_array_equal(k1, k2)
     assert not np.array_equal(kids1[0], kids1[1])
@@ -81,21 +81,14 @@ def test_rng_permutation_and_choice_ranges():
     for _ in range(20):
         p = rng.permutation(17)
         assert sorted(p) == list(range(17))
-        c = rng.choice(9)
+        c = int(rng.integers(9))
         assert 0 <= c < 9
 
 
 def test_fill_random_scaled_fan_in_bounds():
     rng = Rng(11)
-    w = fill_random((32, 5, 3, 3), rng, "scaled-fan-in", dtype=np.float64)
+    w = fill_random((32, 5, 3, 3), rng, np.float64)
     bound = np.sqrt(6.0 / (5 * 3 * 3))
     assert np.abs(w).max() <= bound
     # large sample actually uses the range
     assert np.abs(w).max() > 0.8 * bound
-
-
-def test_fill_random_uniform_range_and_dtype():
-    rng = Rng(12)
-    x = fill_random((1000,), rng, "uniform", lo=2.0, hi=3.0)
-    assert x.dtype == np.float32
-    assert x.min() >= 2.0 and x.max() < 3.0

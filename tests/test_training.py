@@ -34,7 +34,7 @@ def tiny_samples(n, rng, length=4, window=2):
     digits, labels = D.builtin_digits()
     small = digits[:, ::5, ::5][:, :6, :6]  # crop glyphs to 6x6
     samples = []
-    for r in rng.split(n):
+    for r in rng.spawn(n):
         seq = D.gen_moving_mnist(small, labels, None, length, r, max_offset=2.0)
         samples.extend(D.sliding_windows(seq, window))
     return samples
@@ -299,12 +299,11 @@ def test_train_config_judges_types_and_ranges_one_way():
 def test_train_log_csv_layout():
     log = TrainLog()
     log.append(0, 0.5, {"precision": 1.0, "recall": 0.5, "f_measure": 2 / 3,
-                        "iou": 0.5}, 1.23)
+                        "iou": 0.5})
     text = log.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,loss,precision,recall,f_measure,iou"
     assert lines[1].startswith("0,0.500000,1.000000,0.500000,")
-    assert "1.23" not in text  # wall clock stays out of the log
 
 
 # ---------------------------------------------------------------------------
