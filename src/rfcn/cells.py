@@ -1,7 +1,8 @@
 """Recurrent cells: GRU, convolutional GRU, and LSTM.
 
 Each cell exposes a pure step function over (input, state) plus an exact
-backward for one unrolled step; the caller chains the backwards over a
+backward for one unrolled step, from the gradient state at the step's output
+to the gradient state at its input; the caller chains the backwards over a
 window for BPTT and accumulates parameter gradients across steps. CELLS
 describes each kind to the executor in one shape, so model.py never asks
 which kind it runs: the table checks a kind's spec fields, draws its
@@ -125,20 +126,20 @@ def _gru_step(x, state, p, lin):
     return RecurrentCellState(h_new), cache
 
 
-def _gru_backward(grad_h_new, cache, p, lin_backward):
+def _gru_backward(grad, cache, p, lin_backward):
     h, z, r, hcand, gates = (cache[k] for k in ("h", "z", "r", "hcand", "gates"))
-    g = grad_h_new
+    g = grad.h
     grad_h = g * (1 - z)
-    d_rh, grad_x, grad = _gate_backward(lin_backward, p, GRU_GATES[2],
-                                        g * z * (1 - hcand * hcand), gates[2])
+    d_rh, grad_x, grads = _gate_backward(lin_backward, p, GRU_GATES[2],
+                                         g * z * (1 - hcand * hcand), gates[2])
     grad_h = grad_h + d_rh * r
     for names, d, gate in zip(GRU_GATES, (g * (hcand - h) * z * (1 - z),
                                           d_rh * h * r * (1 - r)), gates):
         gh, gx, gw = _gate_backward(lin_backward, p, names, d, gate)
-        grad.update(gw)
+        grads.update(gw)
         grad_h = grad_h + gh
         grad_x = grad_x + gx
-    return grad_x, grad_h, grad
+    return grad_x, RecurrentCellState(grad_h), grads
 
 
 def gru_step(x, state, p):
@@ -146,12 +147,11 @@ def gru_step(x, state, p):
     return _gru_step(x, state, p, _matvec)
 
 
-def gru_backward(grad_h_new, cache, p):
-    """Backward through one dense GRU step.
-
-    Returns (grad_x, grad_h_prev, grads dict keyed like the params).
-    """
-    return _gru_backward(grad_h_new, cache, p, _matvec_backward)
+def gru_backward(grad, cache, p):
+    """Backward through one dense GRU step from the gradient state at its
+    output; returns (grad_x, the gradient state at its input, grads dict
+    keyed like the params)."""
+    return _gru_backward(grad, cache, p, _matvec_backward)
 
 
 def conv_gru_step(x, state, p):
@@ -159,8 +159,8 @@ def conv_gru_step(x, state, p):
     return _gru_step(x, state, p, _conv_same)
 
 
-def conv_gru_backward(grad_h_new, cache, p):
-    return _gru_backward(grad_h_new, cache, p, _conv_same_backward)
+def conv_gru_backward(grad, cache, p):
+    return _gru_backward(grad, cache, p, _conv_same_backward)
 
 
 def lstm_step(x, state, p):
@@ -176,26 +176,25 @@ def lstm_step(x, state, p):
     return RecurrentCellState(o * tc, c=c_new), cache
 
 
-def lstm_backward(grad_h_new, grad_c_new, cache, p):
-    """Backward through one LSTM step.
-
-    Returns (grad_x, grad_h_prev, grad_c_prev, grads dict).
-    """
+def lstm_backward(grad, cache, p):
+    """Backward through one LSTM step from the gradient state (grad_h,
+    grad_c or None) at its output; returns (grad_x, the gradient state at
+    its input, grads dict)."""
     c, i, f, o, g, tc = (cache[k] for k in ("c", "i", "f", "o", "g", "tc"))
-    d_c = grad_h_new * o * (1 - tc * tc)
-    if grad_c_new is not None:
-        d_c = d_c + grad_c_new
+    d_c = grad.h * o * (1 - tc * tc)
+    if grad.c is not None:
+        d_c = d_c + grad.c
     d_g = d_c * i
     d_ag = d_g * g * (1 - g) if p.candidate_activation == "sigmoid" else d_g * (1 - g * g)
-    grad, grad_x, grad_h = {}, 0, 0
+    grads, grad_x, grad_h = {}, 0, 0
     for names, d, gate in zip(LSTM_GATES, (d_c * g * i * (1 - i), d_c * c * f * (1 - f),
-                                           grad_h_new * tc * o * (1 - o), d_ag),
+                                           grad.h * tc * o * (1 - o), d_ag),
                               cache["gates"]):
         gx, gh, gw = _gate_backward(_matvec_backward, p, names, d, gate)
-        grad.update(gw)
+        grads.update(gw)
         grad_h = grad_h + gh
         grad_x = grad_x + gx
-    return grad_x, grad_h, d_c * f, grad
+    return grad_x, RecurrentCellState(grad_h, c=d_c * f), grads
 
 
 # ---------------------------------------------------------------------------
@@ -290,31 +289,21 @@ class CellKind:
         return RecurrentCellState(np.zeros(shape, dtype=dtype), c=c)
 
 
-def _gru_backward_state(grad, cache, p, backward):
-    gx, gh, grads = backward(grad.h, cache, p)
-    return gx, RecurrentCellState(gh), grads
-
-
-def _lstm_backward(grad, cache, p):
-    gx, gh, gc, grads = lstm_backward(grad.h, grad.c, cache, p)
-    return gx, RecurrentCellState(gh, c=gc), grads
-
-
 CELLS = {
     GRU: CellKind("vec", GRU_WEIGHT_NAMES,
                   lambda spec, w: GruParams(**w),
                   lambda x, state, p: gru_step(x, state, p),
-                  lambda g, cache, p: _gru_backward_state(g, cache, p, gru_backward),
+                  lambda g, cache, p: gru_backward(g, cache, p),
                   init=_gru_init),
     CONV_GRU: CellKind("chw", GRU_WEIGHT_NAMES,
                        lambda spec, w: GruParams(**w),
                        lambda x, state, p: conv_gru_step(x, state, p),
-                       lambda g, cache, p: _gru_backward_state(
-                           g, cache, p, conv_gru_backward),
+                       lambda g, cache, p: conv_gru_backward(g, cache, p),
                        init=_gru_init),
     LSTM: CellKind("vec", LSTM_WEIGHT_NAMES,
                    lambda spec, w: LstmParams(
                        candidate_activation=spec.candidate_activation, **w),
-                   lambda x, state, p: lstm_step(x, state, p), _lstm_backward,
+                   lambda x, state, p: lstm_step(x, state, p),
+                   lambda g, cache, p: lstm_backward(g, cache, p),
                    carries_c=True, candidates=("sigmoid", "tanh")),
 }

@@ -8,6 +8,7 @@ construction.
 """
 
 import json
+import math
 import os
 import re
 import struct
@@ -52,40 +53,34 @@ class SequenceSample:
 # MNIST IDX
 
 
-def _read_be32(f, what):
-    data = f.read(4)
-    if len(data) != 4:
-        raise DataError(f"truncated IDX file while reading {what}")
-    return struct.unpack(">I", data)[0]
+def _read_idx(path, magic, rank):
+    """An IDX file's uint8 payload, shaped by the rank big-endian uint32 dims
+    its header gives after the magic number."""
+    with open(path, "rb") as f:
+        header = f.read(4 * (rank + 1))
+        if len(header) != 4 * (rank + 1):
+            raise DataError(f"{path}: truncated IDX header")
+        found, *dims = struct.unpack(f">{rank + 1}I", header)
+        if found != magic:
+            raise DataError(f"{path}: bad IDX magic 0x{found:08x}, expected 0x{magic:08x}")
+        n = math.prod(dims)
+        # a corrupt header cannot make the read ask for more than the file holds
+        raw = f.read(min(n, os.fstat(f.fileno()).st_size))
+    if len(raw) != n:
+        raise DataError(f"{path}: truncated IDX payload")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
 
 
 def load_mnist_idx(images_path, labels_path):
     """Load an IDX image/label pair; pixels scaled to [0, 1].
 
-    Returns (images (N, 28, 28) float32, labels (N,) int).
+    Returns (images (N, rows, cols) float32, labels (N,) int), with N, rows
+    and cols as the files' headers give them.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, "image magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataError(f"bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        count = _read_be32(f, "image count")
-        rows = _read_be32(f, "rows")
-        cols = _read_be32(f, "cols")
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise DataError("truncated IDX image payload")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, "label magic")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataError(f"bad label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        lcount = _read_be32(f, "label count")
-        raw = f.read(lcount)
-        if len(raw) != lcount:
-            raise DataError("truncated IDX label payload")
-        labels = np.frombuffer(raw, dtype=np.uint8)
-    if count != lcount:
-        raise DataError(f"image count {count} != label count {lcount}")
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
+    if len(images) != len(labels):
+        raise DataError(f"image count {len(images)} != label count {len(labels)}")
     return images.astype(np.float32) / 255.0, labels.astype(np.int64)
 
 
@@ -176,8 +171,8 @@ def gen_moving_mnist(digits, labels, velocity, length, rng, mode="binary",
     digit class + 1, which must fit a mask (at most MAX_CLASS_ID).
     """
     digits = np.asarray(digits)
-    if digits.ndim != 3 or digits.shape[0] == 0:
-        raise DataError("digit set must be a non-empty (N, H, W) array")
+    if digits.ndim != 3 or digits.size == 0:
+        raise DataError(f"digit set must be a non-empty (N, H, W) array, got {digits.shape}")
     if length < 1:
         raise DataError("sequence length must be >= 1")
     _check_mode(mode)

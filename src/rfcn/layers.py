@@ -297,7 +297,7 @@ def flatten(x):
 
 def unflatten(v, shape):
     shape = tuple(int(s) for s in shape)
-    if v.size != int(np.prod(shape)):
+    if v.size != math.prod(shape):
         raise ShapeError(f"cannot unflatten {v.size} values into {shape}")
     return v.reshape(shape)
 

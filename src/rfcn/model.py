@@ -20,6 +20,7 @@ gradient audit's kink probe rebind.
 
 import io
 import json
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -223,56 +224,42 @@ class ArchitectureConfig:
 
 def _layer_output_shape(spec, shape):
     """shape is ('chw', (c,h,w)) or ('vec', (n,)). Returns the output shape and
-    the layer's parameter shapes keyed by suffix."""
+    the layer's parameter shapes keyed by suffix.
+
+    conv, conv1x1, deconv and pool slide a window over a spatial input: the
+    output dims follow conv_output_dim (deconv_output_dim for a deconv) at the
+    effective stride, with pad 0 for a pool, and must be positive."""
     kind, dims = shape
-    params = {}
-    if spec.kind in ("conv", "conv1x1"):
+    if spec.kind in ("conv", "conv1x1", "deconv", "pool"):
         if kind != "chw":
             raise ConfigError(f"{spec.kind} needs a spatial input, got {shape}")
         c, h, w = dims
         size = 1 if spec.kind == "conv1x1" else spec.size
         s = spec.effective_stride()
-        ho = conv_output_dim(h, size, s, spec.pad)
-        wo = conv_output_dim(w, size, s, spec.pad)
+        if spec.kind == "pool" and (not 1 <= size <= min(h, w) or s < 1):
+            raise ConfigError(f"pool window {size}, stride {s} do not fit input {h}x{w}")
+        out_dim = deconv_output_dim if spec.kind == "deconv" else conv_output_dim
+        pad = 0 if spec.kind == "pool" else spec.pad
+        ho, wo = out_dim(h, size, s, pad), out_dim(w, size, s, pad)
         if ho < 1 or wo < 1:
-            raise ConfigError(f"conv output dims {ho}x{wo} not positive")
-        params["weights"] = (spec.depth, c, size, size)
-        params["bias"] = (spec.depth,)
-        return ("chw", (spec.depth, ho, wo)), params
-    if spec.kind == "deconv":
-        if kind != "chw":
-            raise ConfigError(f"deconv needs a spatial input, got {shape}")
-        c, h, w = dims
-        s = spec.effective_stride()
-        ho = deconv_output_dim(h, spec.size, s, spec.pad)
-        wo = deconv_output_dim(w, spec.size, s, spec.pad)
-        if ho < 1 or wo < 1:
-            raise ConfigError(f"deconv output dims {ho}x{wo} not positive")
-        params["weights"] = (c, spec.depth, spec.size, spec.size)
-        params["bias"] = (spec.depth,)
-        return ("chw", (spec.depth, ho, wo)), params
-    if spec.kind == "pool":
-        if kind != "chw":
-            raise ConfigError("pool needs a spatial input")
-        c, h, w = dims
-        s = spec.effective_stride()
-        if not 1 <= spec.size <= min(h, w) or s < 1:
-            raise ConfigError(f"pool window {spec.size}, stride {s} do not fit input {h}x{w}")
-        return ("chw", (c, (h - spec.size) // s + 1, (w - spec.size) // s + 1)), params
+            raise ConfigError(f"{spec.kind} output dims {ho}x{wo} not positive")
+        if spec.kind == "pool":
+            return ("chw", (c, ho, wo)), {}
+        io_dims = (c, spec.depth) if spec.kind == "deconv" else (spec.depth, c)
+        return (("chw", (spec.depth, ho, wo)),
+                {"weights": io_dims + (size, size), "bias": (spec.depth,)})
     if spec.kind == "relu":
-        return shape, params
+        return shape, {}
     if spec.kind == "flatten":
-        n = int(np.prod(dims))
-        return ("vec", (n,)), params
-    if spec.kind == "unflatten":
-        if kind != "vec":
-            raise ConfigError("unflatten needs a vector input")
-        target = spec.target_shape
-        if target is None or len(target) != 3 or int(np.prod(target)) != dims[0]:
-            raise ConfigError(f"unflatten target {target} is not a (C, H, W) "
-                              f"of the vector's {dims[0]} values")
-        return ("chw", spec.target_shape), params
-    raise ConfigError(f"unknown layer kind {spec.kind!r}")
+        return ("vec", (math.prod(dims),)), {}
+    # unflatten
+    if kind != "vec":
+        raise ConfigError("unflatten needs a vector input")
+    target = spec.target_shape
+    if target is None or len(target) != 3 or math.prod(target) != dims[0]:
+        raise ConfigError(f"unflatten target {target} is not a (C, H, W) "
+                          f"of the vector's {dims[0]} values")
+    return ("chw", target), {}
 
 
 def _cell_param_shapes(rec, in_shape):
@@ -285,12 +272,13 @@ def _cell_param_shapes(rec, in_shape):
 
 @dataclass
 class ShapeReport:
-    pre_shapes: list       # shape after each pre layer
     recurrent_input: tuple
-    recurrent_output: tuple
-    post_shapes: list
     output_shape: tuple    # (c, h, w) logits
     param_shapes: OrderedDict  # canonical name -> shape
+
+
+# The most elements a float64 parameter array can hold and still be indexed
+MAX_PARAM_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
 def _chain_shapes(section, specs, shape, param_shapes):
@@ -309,8 +297,9 @@ def shape_check(config):
     """Walk the config, validating every layer and collecting parameter shapes.
 
     Raises ConfigError on any inconsistency, including a window that is not
-    a positive integer, logits whose spatial dims differ from the input or
-    whose channel count differs from num_classes, and more classes than a
+    a positive integer, a parameter with an empty dimension or more elements
+    than MAX_PARAM_ELEMENTS, logits whose spatial dims differ from the input
+    or whose channel count differs from num_classes, and more classes than a
     mask's ids can name.
     """
     window = config.window
@@ -319,14 +308,12 @@ def shape_check(config):
     if len(config.input_shape) != 3:
         raise ConfigError(f"input_shape must be (C, H, W), got {config.input_shape}")
     param_shapes = OrderedDict()
-    shape, pre_shapes = _chain_shapes("pre", config.pre, ("chw", config.input_shape),
-                                      param_shapes)
+    shape, _ = _chain_shapes("pre", config.pre, ("chw", config.input_shape), param_shapes)
     rec_in = shape
     if config.recurrent is not None:
         shape, cshapes = _cell_param_shapes(config.recurrent, shape)
         for suffix, ps in cshapes.items():
             param_shapes[f"cell.{suffix}"] = ps
-    rec_out = shape
     shape, post_shapes = _chain_shapes("post", config.post, shape, param_shapes)
     for j, link in enumerate(config.skip_links):
         if not (0 <= link.source < len(config.post)) or not (0 <= link.target < len(config.post)):
@@ -341,6 +328,10 @@ def shape_check(config):
             raise ConfigError(f"skip link {j} scores to {scored}, not the target's {target}")
         for suffix, ps in pshapes.items():
             param_shapes[f"skip.{j}.score.{suffix}"] = ps
+    for name, ps in param_shapes.items():
+        if not 0 < math.prod(ps) <= MAX_PARAM_ELEMENTS:
+            raise ConfigError(f"parameter {name} of shape {ps} is empty or has more "
+                              f"than {MAX_PARAM_ELEMENTS} elements")
     kind, dims = shape
     if kind != "chw":
         raise ConfigError(f"network output must be a spatial map, got {shape}")
@@ -352,7 +343,7 @@ def shape_check(config):
     if dims[1:] != config.input_shape[1:]:
         raise ConfigError(
             f"output spatial dims {dims[1:]} != input {config.input_shape[1:]}")
-    return ShapeReport(pre_shapes, rec_in, rec_out, post_shapes, dims, param_shapes)
+    return ShapeReport(rec_in, dims, param_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +413,8 @@ def _layer_forward(spec, params, prefix, x):
         return relu_forward(x)
     if kind == "flatten":
         return flatten(x), x.shape
-    if kind == "unflatten":
-        return unflatten(x, (1,) + spec.target_shape), x.shape
-    raise ConfigError(f"unknown layer kind {kind!r}")
+    # unflatten
+    return unflatten(x, (1,) + spec.target_shape), x.shape
 
 
 def _add_grad(grads, params, name, g):
@@ -639,38 +629,33 @@ def forward_stream(model, frames):
 # Presets
 
 
-def _lenet_trunk():
+def _trunk(pads, stride):
+    """The LeNet trunk the lenet and 12s presets share: the three convs' pads
+    and the first conv's stride (0 = default) are theirs."""
     return [
-        LayerSpec("conv", size=5, pad=10, depth=20),
+        LayerSpec("conv", size=5, stride=stride, pad=pads[0], depth=20),
         LayerSpec("relu"),
         LayerSpec("pool", size=2),
-        LayerSpec("conv", size=5, depth=50),
+        LayerSpec("conv", size=5, pad=pads[1], depth=50),
         LayerSpec("relu"),
         LayerSpec("pool", size=2),
-        LayerSpec("conv", size=3, depth=500),
+        LayerSpec("conv", size=3, pad=pads[2], depth=500),
         LayerSpec("relu"),
         LayerSpec("conv1x1", depth=1),
     ]
 
 
-def _12s_trunk():
+def _presets():
+    """name -> (input_shape, num_classes, pre, recurrent, post, skip_links),
+    with fresh specs on every call, since callers change the configs built
+    from them. A baseline FCN (fc-*) and its recurrent twin (rfc-*) share
+    one trunk."""
+    lenet = _trunk((10, 0, 0), 0) + [LayerSpec("deconv", size=10, stride=4, pad=3, depth=1)]
     # Pads chosen so the coarse map is exactly input/12 (10x15 at 120x180);
     # the deconv then restores the input size in one stride-12 hop.
-    return [
-        LayerSpec("conv", size=5, stride=3, pad=1, depth=20),
-        LayerSpec("relu"),
-        LayerSpec("pool", size=2),
-        LayerSpec("conv", size=5, pad=2, depth=50),
-        LayerSpec("relu"),
-        LayerSpec("pool", size=2),
-        LayerSpec("conv", size=3, pad=1, depth=500),
-        LayerSpec("relu"),
-        LayerSpec("conv1x1", depth=1),
-    ]
-
-
-def _vgg_trunk():
-    return [
+    trunk_12s = _trunk((1, 2, 1), 3)
+    deconv_12 = LayerSpec("deconv", size=12, stride=12, depth=1)
+    vgg = [
         LayerSpec("conv", size=11, stride=4, pad=40, depth=64),
         LayerSpec("relu"),
         LayerSpec("pool", size=3),
@@ -686,93 +671,59 @@ def _vgg_trunk():
         LayerSpec("conv", size=3, pad=1, depth=512),
         LayerSpec("conv", size=3, pad=1, depth=128),
     ]
+    # Reduced FCN-8s-style config: the recurrent cell sits before the
+    # pooling stage where the skip connection branches. Shape-checked but
+    # intended as a documented starting point, not a tuned network.
+    sketch_pre = [
+        LayerSpec("conv", size=3, pad=1, depth=16),
+        LayerSpec("relu"),
+        LayerSpec("pool", size=2),
+        LayerSpec("conv", size=3, pad=1, depth=32),
+        LayerSpec("relu"),
+        LayerSpec("pool", size=2),
+        LayerSpec("conv", size=3, pad=1, depth=64),
+        LayerSpec("relu"),
+    ]
+    sketch_post = [
+        LayerSpec("pool", size=2),
+        LayerSpec("conv", size=3, pad=1, depth=128),
+        LayerSpec("relu"),
+        LayerSpec("pool", size=2),
+        LayerSpec("conv", size=3, pad=1, depth=128),
+        LayerSpec("relu"),
+        LayerSpec("conv1x1", depth=5),
+        LayerSpec("deconv", size=2, stride=2, depth=5),
+        LayerSpec("deconv", size=8, stride=8, depth=5),
+    ]
+    return {
+        "fc-lenet": ((1, 28, 28), 1, lenet, None, [], []),
+        "rfc-lenet": ((1, 28, 28), 1, lenet + [LayerSpec("flatten")],
+                      RecurrentSpec(cells.GRU, hidden=784),
+                      [LayerSpec("unflatten", target_shape=(1, 28, 28)),
+                       LayerSpec("conv1x1", depth=1)], []),
+        "fc-12s": ((1, 120, 180), 1, trunk_12s, None, [deconv_12], []),
+        "rfc-12s": ((1, 120, 180), 1, trunk_12s + [LayerSpec("flatten")],
+                    RecurrentSpec(cells.GRU, hidden=150),
+                    [LayerSpec("unflatten", target_shape=(1, 10, 15)), deconv_12], []),
+        "rfc-vgg": ((3, 240, 360), 1, vgg, RecurrentSpec(cells.CONV_GRU, hidden=128, kernel=3),
+                    [LayerSpec("conv1x1", depth=1),
+                     LayerSpec("deconv", size=30, stride=30, depth=1)], []),
+        "rfcn-8s-sketch": ((3, 96, 96), 5, sketch_pre,
+                           RecurrentSpec(cells.CONV_GRU, hidden=64, kernel=3),
+                           sketch_post, [SkipLink(source=0, target=7)]),
+    }
 
 
-PRESET_NAMES = ("fc-lenet", "rfc-lenet", "fc-12s", "rfc-12s", "rfc-vgg",
-                "rfcn-8s-sketch")
+PRESET_NAMES = tuple(_presets())
 
 
 def preset(name, window=3):
     """Build one of the named architectures; all shape-check at their declared
     input sizes."""
-    if name == "rfc-lenet":
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(1, 28, 28), num_classes=1, window=window,
-            pre=_lenet_trunk() + [
-                LayerSpec("deconv", size=10, stride=4, pad=3, depth=1),
-                LayerSpec("flatten"),
-            ],
-            recurrent=RecurrentSpec(cells.GRU, hidden=784),
-            post=[LayerSpec("unflatten", target_shape=(1, 28, 28)),
-                  LayerSpec("conv1x1", depth=1)],
-        )
-    elif name == "fc-lenet":
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(1, 28, 28), num_classes=1, window=window,
-            pre=_lenet_trunk() + [
-                LayerSpec("deconv", size=10, stride=4, pad=3, depth=1),
-            ],
-            recurrent=None, post=[],
-        )
-    elif name == "rfc-12s":
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(1, 120, 180), num_classes=1, window=window,
-            pre=_12s_trunk() + [LayerSpec("flatten")],
-            recurrent=RecurrentSpec(cells.GRU, hidden=150),
-            post=[
-                LayerSpec("unflatten", target_shape=(1, 10, 15)),
-                LayerSpec("deconv", size=12, stride=12, depth=1),
-            ],
-        )
-    elif name == "fc-12s":
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(1, 120, 180), num_classes=1, window=window,
-            pre=_12s_trunk(),
-            recurrent=None,
-            post=[LayerSpec("deconv", size=12, stride=12, depth=1)],
-        )
-    elif name == "rfc-vgg":
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(3, 240, 360), num_classes=1, window=window,
-            pre=_vgg_trunk(),
-            recurrent=RecurrentSpec(cells.CONV_GRU, hidden=128, kernel=3),
-            post=[
-                LayerSpec("conv1x1", depth=1),
-                LayerSpec("deconv", size=30, stride=30, depth=1),
-            ],
-        )
-    elif name == "rfcn-8s-sketch":
-        # Reduced FCN-8s-style config: the recurrent cell sits before the
-        # pooling stage where the skip connection branches. Shape-checked but
-        # intended as a documented starting point, not a tuned network.
-        cfg = ArchitectureConfig(
-            name=name, input_shape=(3, 96, 96), num_classes=5, window=window,
-            pre=[
-                LayerSpec("conv", size=3, pad=1, depth=16),
-                LayerSpec("relu"),
-                LayerSpec("pool", size=2),
-                LayerSpec("conv", size=3, pad=1, depth=32),
-                LayerSpec("relu"),
-                LayerSpec("pool", size=2),
-                LayerSpec("conv", size=3, pad=1, depth=64),
-                LayerSpec("relu"),
-            ],
-            recurrent=RecurrentSpec(cells.CONV_GRU, hidden=64, kernel=3),
-            post=[
-                LayerSpec("pool", size=2),
-                LayerSpec("conv", size=3, pad=1, depth=128),
-                LayerSpec("relu"),
-                LayerSpec("pool", size=2),
-                LayerSpec("conv", size=3, pad=1, depth=128),
-                LayerSpec("relu"),
-                LayerSpec("conv1x1", depth=5),
-                LayerSpec("deconv", size=2, stride=2, depth=5),
-                LayerSpec("deconv", size=8, stride=8, depth=5),
-            ],
-            skip_links=[SkipLink(source=0, target=7)],
-        )
-    else:
+    table = _presets()
+    if name not in table:
         raise ConfigError(f"unknown preset {name!r}")
+    cfg = ArchitectureConfig(name, *table[name], window=window)
     shape_check(cfg)
     return cfg
 
@@ -844,7 +795,7 @@ def load_checkpoint(path, dtype=np.float32):
                 raise CheckpointError(
                     f"tensor {name!r} dims {dims} != config shape "
                     f"{report.param_shapes[name]}")
-            n = int(np.prod(dims)) if dims else 1
+            n = math.prod(dims)
             arr = np.frombuffer(_read(f, 4 * n, f"data of {name}"), dtype="<f4")
             params[name] = arr.reshape(dims).astype(dtype)
         missing = set(report.param_shapes) - set(params)

@@ -7,6 +7,8 @@ offending flat index; it guards every window's logits and every random
 draw.
 """
 
+import math
+
 import numpy as np
 
 from .errors import NumericsError, ShapeError
@@ -45,7 +47,7 @@ def fill_random(shape, rng, dtype):
     shape = tuple(int(s) for s in shape)
     if any(s < 0 for s in shape):
         raise ShapeError(f"negative extent in shape {shape}")
-    fan_in = int(np.prod(shape[1:])) if len(shape) > 1 else shape[0]
+    fan_in = math.prod(shape[1:]) if len(shape) > 1 else shape[0]
     bound = np.sqrt(6.0 / fan_in)
     out = rng.uniform(-bound, bound, shape).astype(dtype)
     return check_finite(out, "fill_random")

@@ -62,10 +62,11 @@ def test_conv_gru_1x1_degenerates_to_dense_gru():
         sc, cache_c = cells.conv_gru_step(x.reshape(cin, 1, 1), sc, cp)
         assert np.abs(sc.h[:, 0, 0] - sd.h).max() <= 1e-12
         g = rng.uniform(-1, 1, hidden)
-        gxd, ghd, gwd = cells.gru_backward(g, cache_d, dp)
-        gxc, ghc, gwc = cells.conv_gru_backward(g.reshape(hidden, 1, 1), cache_c, cp)
+        gxd, ghd, gwd = cells.gru_backward(cells.RecurrentCellState(g), cache_d, dp)
+        gxc, ghc, gwc = cells.conv_gru_backward(
+            cells.RecurrentCellState(g.reshape(hidden, 1, 1)), cache_c, cp)
         assert np.abs(gxc.reshape(-1) - gxd).max() <= 1e-12
-        assert np.abs(ghc.reshape(-1) - ghd).max() <= 1e-12
+        assert np.abs(ghc.h.reshape(-1) - ghd.h).max() <= 1e-12
         assert list(gwc) == list(gwd)
         for k in gwd:
             assert np.abs(gwc[k].reshape(gwd[k].shape) - gwd[k]).max() <= 1e-12, k
@@ -160,7 +161,7 @@ def test_gru_backward_consistent_with_finite_difference():
         return float(s.h @ wout)
 
     _, cache = cells.gru_step(x, cells.RecurrentCellState(h0), p)
-    gx, gh, grads = cells.gru_backward(wout, cache, p)
+    gx, gh, grads = cells.gru_backward(cells.RecurrentCellState(wout), cache, p)
     eps = 1e-6
     for i in range(3):
         orig = x[i]

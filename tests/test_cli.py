@@ -357,17 +357,28 @@ def test_usage_errors_exit_2(tmp_path, dataset):
 
 def test_malformed_architecture_file_exits_2(tmp_path, dataset, capsys):
     """A malformed --arch file is one error line and exit 2: no traceback,
-    and no key the config does not have is dropped without a word."""
+    and no key the config does not have is dropped without a word. So is a
+    layer whose parameters have an empty dimension or more elements than a
+    float64 array can index."""
     doc = json.load(open(tiny_arch(tmp_path)))
     no_name = {k: v for k, v in doc.items() if k != "name"}
-    string_size = json.loads(json.dumps(doc))
-    string_size["pre"][0]["size"] = "3"
-    misspelt = json.loads(json.dumps(doc))
-    misspelt["pre"][0]["strides"] = 2
+
+    def changed(**first_conv):
+        d = json.loads(json.dumps(doc))
+        d["pre"][0].update(first_conv)
+        return json.dumps(d)
+
+    huge = dict(doc, input_shape=[2 ** 31, 4, 4],
+                pre=[{"kind": "conv", "size": 4, "depth": 2 ** 31},
+                     {"kind": "deconv", "size": 4, "depth": 1}],
+                recurrent=None, post=[])
     for name, text in (("invalid", '{"name": "cli-tiny",'), ("list", "[1, 2]"),
                        ("no-name", json.dumps(no_name)),
-                       ("string-size", json.dumps(string_size)),
-                       ("misspelt-stride", json.dumps(misspelt))):
+                       ("string-size", changed(size="3")),
+                       ("misspelt-stride", changed(strides=2)),
+                       ("zero-depth", changed(depth=0)),
+                       ("zero-size", changed(size=0, stride=2, pad=13)),
+                       ("too-many-weights", json.dumps(huge))):
         arch = tmp_path / f"{name}.json"
         arch.write_text(text)
         out = tmp_path / f"{name}.ckpt"

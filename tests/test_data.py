@@ -61,6 +61,10 @@ def test_mnist_idx_truncated(tmp_path):
     open(ip, "wb").write(data[:-10])
     with pytest.raises(DataError):
         D.load_mnist_idx(ip, lp)
+    # a header whose dims ask for more bytes than any file holds
+    open(ip, "wb").write(struct.pack(">IIII", D.IDX_IMAGES_MAGIC, *[2 ** 32 - 1] * 3))
+    with pytest.raises(DataError):
+        D.load_mnist_idx(ip, lp)
 
 
 def test_bilinear_translate_integer_shift_is_roll():
@@ -151,6 +155,14 @@ def test_gen_moving_mnist_semantic_rejects_class_ids_above_a_byte():
     with pytest.raises(DataError):
         D.gen_moving_mnist(digits, np.full(10, 255), None, 2, Rng(410),
                            mode="semantic")
+
+
+def test_gen_moving_mnist_rejects_an_empty_digit_set():
+    """No digits, 0x0 digits (as an IDX header of 0 rows and 0 cols gives)
+    and digits of the wrong rank draw no sequence."""
+    for shape in ((0, 28, 28), (2, 0, 0), (2, 28, 0), (2, 28)):
+        with pytest.raises(DataError):
+            D.gen_moving_mnist(np.zeros(shape), np.zeros(2, int), None, 2, Rng(411))
 
 
 def test_unknown_mask_mode_is_data_error(tmp_path):

@@ -1,6 +1,7 @@
 """Model tests: shape checking, presets, the window executor, streaming,
 and checkpoint serialization."""
 
+import hashlib
 import itertools
 import json
 import struct
@@ -50,6 +51,28 @@ def test_all_presets_shape_check_at_declared_sizes():
         report = shape_check(cfg)
         assert report.output_shape[1:] == cfg.input_shape[1:]
         assert report.output_shape[0] == cfg.num_classes
+
+
+# sha256 of each preset's config JSON, which every checkpoint of it embeds
+PRESET_SHA256 = {
+    "fc-lenet": "d0bc389f98876dabf5adfea28562d989fe9029f776666097a130250b4e1fa503",
+    "rfc-lenet": "d441e50c72f17d72ffd72ffd088929c30cef7294e8ac03ec42b7182f593d8e9f",
+    "fc-12s": "7405d7023af2a4d55d256515fe7d0ed4b4a9747ea1cef96117318b61709c9604",
+    "rfc-12s": "1a3a1dec2fdf765c609741b4caffff61aa8b68ed6b0d6b1e5e86d8ad65d7456f",
+    "rfc-vgg": "7c3754b83d10194adb10aaee76dea43099a807b6e1019ff60947f47b0000e56b",
+    "rfcn-8s-sketch": "83d91e9d86314adf5dc279cd3897e4850745d5fe5b66dd247d6af520f7ce3389",
+}
+
+
+def test_every_preset_architecture_is_pinned():
+    """A preset's JSON is part of every checkpoint of it: it may not drift.
+    Each call builds fresh specs, so changing one config leaves the next."""
+    assert tuple(PRESET_SHA256) == PRESET_NAMES
+    for name in PRESET_NAMES:
+        cfg = preset(name)
+        assert hashlib.sha256(cfg.to_json().encode()).hexdigest() == PRESET_SHA256[name]
+        cfg.pre[0].depth += 1
+    assert preset("rfc-12s", window=5).window == 5
 
 
 def test_rfc_lenet_recurrent_vector_is_784():
@@ -497,6 +520,24 @@ def test_checkpoint_bad_name_and_trailing_bytes_are_checkpoint_errors(tmp_path):
         open(path, "wb").write(bad)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def test_checkpoint_whose_dims_overflow_int64_is_checkpoint_error(tmp_path):
+    """A conv of 2**31 x 2**31 x 4 x 4 weights, with a record declaring those
+    dims and no data: their product overflows int64, and the config asks
+    for more than a float64 array can index."""
+    doc = {"name": "huge", "input_shape": [2 ** 31, 4, 4], "num_classes": 1,
+           "window": 1, "pre": [{"kind": "conv", "size": 4, "depth": 2 ** 31},
+                                {"kind": "deconv", "size": 4, "depth": 1}],
+           "recurrent": None, "post": [], "skip_links": []}
+    cfg = json.dumps(doc).encode()
+    name = b"pre.0.conv.weights"
+    blob = (b"RFCN" + struct.pack("<II", 1, len(cfg)) + cfg + struct.pack("<II", 1, len(name))
+            + name + struct.pack("<B4I", 4, 2 ** 31, 2 ** 31, 4, 4))
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
 
 
 def tiny_checkpoint():
