@@ -6,19 +6,18 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error,
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import data as data_mod
 from . import gradcheck
-from . import metrics as metrics_mod
 from .errors import ConfigError, DataError, DivergenceError, RfcnError
 from .model import (ArchitectureConfig, PRESET_NAMES, check_frames,
                     forward_stream, forward_windows, init_model, load_checkpoint,
                     load_matching, preset, save_checkpoint, shape_check)
 from .tensor import Rng
-from .training import (MODES, OPTIMIZERS, TrainConfig, binary_target, evaluate,
-                       logits_to_mask, train)
+from .training import MODES, TrainConfig, evaluate, logits_to_mask, train
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -47,6 +46,11 @@ def _load_arch(spec, window=None):
         cfg.window = window
     shape_check(cfg)
     return cfg
+
+
+def _check_threshold(threshold):
+    if not 0 <= threshold <= 1:
+        raise ConfigError(f"--threshold must be in [0, 1], got {threshold}")
 
 
 def _samples_for(manifest, split, window):
@@ -82,11 +86,11 @@ def _train_config(args):
         try:
             with open(args.config) as f:
                 d = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # bad JSON or not UTF-8
             raise ConfigError(f"cannot read train config: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("train config must be a JSON object")
-    for flag in ("max_epochs", "seed", "mode", "batch_size", "patience", "optimizer"):
+    for flag in ("max_epochs", "seed", "mode", "batch_size", "patience"):
         v = getattr(args, flag)
         if v is not None:
             d[flag] = v
@@ -123,26 +127,19 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    if not (args.ckpt or args.oracle):
-        raise ConfigError("eval needs --ckpt or --oracle")
-    model = load_checkpoint(args.ckpt) if not args.oracle else None
-    window = model.config.window if model else args.window
-    samples = _samples_for(args.data, args.split, window)
+    _check_threshold(args.threshold)
+    model = load_checkpoint(args.ckpt)
+    samples = _samples_for(args.data, args.split, model.config.window)
     if not samples:
         raise DataError(f"no {args.split!r} samples in {args.data}")
-    if args.oracle:
-        pairs = ((binary_target(s.target), binary_target(s.target))
-                 for s in samples)
-        report = metrics_mod.evaluate_masks(pairs, per_frame=args.per_frame)
-    else:
-        report = evaluate(model, samples, threshold=args.threshold,
-                          per_frame=args.per_frame)
+    report = evaluate(model, samples, threshold=args.threshold, per_frame=args.per_frame)
     _atomic_write_text(args.report, json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(json.dumps(report, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_predict(args):
+    _check_threshold(args.threshold)
     model = load_checkpoint(args.ckpt)
     seq_dir = args.frames
     names = sorted(os.listdir(seq_dir))
@@ -170,6 +167,8 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
+    if not 0 <= args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {args.tol}")
     report, ok = gradcheck.run_audit(seed=args.seed, tol=args.tol)
     width = max(len(k) for k in report)
     for name, err in sorted(report.items()):
@@ -225,20 +224,16 @@ def build_parser():
     t.add_argument("--seed", type=int)
     t.add_argument("--mode", choices=MODES)
     t.add_argument("--patience", type=int)
-    t.add_argument("--optimizer", choices=OPTIMIZERS)
     t.add_argument("--window", type=int, default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")
-    e.add_argument("--ckpt")
+    e.add_argument("--ckpt", required=True)
     e.add_argument("--data", required=True)
     e.add_argument("--report", required=True)
     e.add_argument("--split", choices=data_mod.SPLITS, default="test")
     e.add_argument("--per-frame", action="store_true")
     e.add_argument("--threshold", type=float, default=0.5)
-    e.add_argument("--window", type=int, default=3)
-    e.add_argument("--oracle", action="store_true",
-                   help="score ground truth against itself (plumbing check)")
     e.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="segment a directory of frames")

@@ -418,7 +418,7 @@ def read_manifest(path):
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # bad JSON or not UTF-8
         raise DataError(f"cannot read manifest {path}: {e}") from e
     if not isinstance(doc, dict):
         raise DataError(f"manifest {path} must be a JSON object")

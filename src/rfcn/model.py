@@ -55,9 +55,6 @@ _JSON_TYPES = {
     tuple: ("a list of non-negative integers",
             lambda v: isinstance(v, list) and all(map(_is_count, v))),
     list: ("a list", lambda v: isinstance(v, list)),
-    list[str]: ("a list of strings",
-                lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
-    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
 }
 
 

@@ -1,18 +1,16 @@
-"""Losses, optimizers, the epoch loop, and evaluation-time inference.
+"""Losses, the Adadelta optimizer, the epoch loop, and evaluation-time inference.
 
 Adadelta follows the standard recurrence
     E[g^2]   <- rho E[g^2] + (1 - rho) g^2
     dx        = -(RMS[dx] / RMS[g]) g,  RMS[v] = sqrt(E[v^2] + eps)
     E[dx^2]  <- rho E[dx^2] + (1 - rho) dx^2
-with rho = 0.95, eps = 1e-6 by default.
+with rho = 0.95, eps = 1e-6, the values train uses.
 
 Training modes: "end-to-end" updates all parameters each step; "decoupled"
 first trains only the recurrent cell with everything else frozen, then
 fine-tunes the whole network.
 """
 
-import fnmatch
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,7 +65,7 @@ def multiclass_cross_entropy(logits, target):
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 
 
 # Elements per slice of an optimizer step: a slice of the parameter, its
@@ -143,64 +141,34 @@ def adadelta_step(params, grads, state):
     return params, state
 
 
-@dataclass
-class SgdState:
-    lr: float = 0.1
-
-
-def sgd_step(params, grads, state):
-    """Apply p -= lr*g in place to each parameter in grads."""
-    lr = float(state.lr)
-    for name, g in grads.items():
-        p = _target(params, name, g)
-        p -= lr * g
-    return params, state
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 
 
 MODES = ("end-to-end", "decoupled")
-OPTIMIZERS = ("adadelta", "sgd")
 
 
 @dataclass
 class TrainConfig:
     """Training settings. A JSON train config (from_dict) and keyword
     construction are judged by one rule, model._checked: counts are
-    non-negative integers, threshold, rho, eps and lr numbers, freeze a list
-    of fnmatch patterns; then batch_size >= 1, mode and optimizer one of
-    MODES and OPTIMIZERS, 0 <= rho < 1, and eps and lr finite and > 0."""
+    non-negative integers and mode a string; then batch_size >= 1 and mode
+    one of MODES."""
 
     max_epochs: int = 500
     batch_size: int = 1
     mode: str = "end-to-end"
     phase1_epochs: int = 0    # decoupled only, at most max_epochs; 0 = half of it
-    freeze: list[str] = field(default_factory=list)
     seed: int = 0
     patience: int = 20
-    threshold: float = 0.5
-    optimizer: str = "adadelta"
-    rho: float = 0.95
-    eps: float = 1e-6
-    lr: float = 0.1
 
     def __post_init__(self):
         _checked(type(self), {f.name: getattr(self, f.name) for f in fields(self)},
                  "train config", ())
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name, choices in (("mode", MODES), ("optimizer", OPTIMIZERS)):
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"{name} must be one of {choices}, "
-                                  f"got {getattr(self, name)!r}")
-        if not 0 <= self.rho < 1:
-            raise ConfigError(f"rho must be in [0, 1), got {self.rho!r}")
-        for name in ("eps", "lr"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0, "
-                                  f"got {getattr(self, name)!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "decoupled" and self.phase1_epochs > self.max_epochs:
             raise ConfigError(f"phase1_epochs {self.phase1_epochs} exceeds "
                               f"max_epochs {self.max_epochs}")
@@ -228,16 +196,6 @@ class TrainLog:
                 str(row["epoch"]) if c == "epoch" else f"{row[c]:.6f}"
                 for c in LOG_COLUMNS))
         return "\n".join(lines) + "\n"
-
-
-def _resolve_freeze(patterns, names):
-    frozen = set()
-    for pat in patterns:
-        hits = fnmatch.filter(names, pat)
-        if not hits:
-            raise ConfigError(f"freeze pattern {pat!r} matches no parameter")
-        frozen.update(hits)
-    return frozen
 
 
 def binary_target(target):
@@ -279,7 +237,7 @@ def evaluate(model, samples, threshold=0.5, per_frame=False):
     return metrics_mod.evaluate_masks(pairs, per_frame=per_frame)
 
 
-def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step):
+def _run_epoch(model, samples, order, cfg, frozen, opt_state):
     total = 0.0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
@@ -302,7 +260,9 @@ def _run_epoch(model, samples, order, cfg, frozen, opt_state, opt_step):
                 grads[k] /= len(batch)
         for k in frozen:
             grads.pop(k, None)
-        opt_step(model.params, grads, opt_state)
+        # looked up by name at each call, so a rebound module attribute (as
+        # a tracer installs) sees every step
+        adadelta_step(model.params, grads, opt_state)
     return total / max(len(order), 1)
 
 
@@ -323,31 +283,22 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
     """
     if not train_samples and cfg.max_epochs > 0:
         raise DataError("training set is empty")
-    names = list(model.params.keys())
     log = TrainLog()
     if cfg.mode == "decoupled":
         if model.config.recurrent is None:
             raise ConfigError("decoupled mode needs a recurrent node")
         p1 = cfg.phase1_epochs or cfg.max_epochs // 2
-        non_cell = {n for n in names if not n.startswith("cell.")}
-        phases = [
-            (p1, non_cell | _resolve_freeze(cfg.freeze, names)),
-            (cfg.max_epochs - p1, _resolve_freeze(cfg.freeze, names)),
-        ]
+        non_cell = {n for n in model.params if not n.startswith("cell.")}
+        phases = [(p1, non_cell), (cfg.max_epochs - p1, set())]
     else:
-        phases = [(cfg.max_epochs, _resolve_freeze(cfg.freeze, names))]
+        phases = [(cfg.max_epochs, set())]
 
     rng = Rng(cfg.seed)
-    # the step is looked up by name here, so a rebound module attribute (as
-    # a tracer installs) sees every call
-    adadelta = cfg.optimizer == "adadelta"
-    opt_step = adadelta_step if adadelta else sgd_step
     epoch = 0
     eval_samples = val_samples if val_samples else train_samples
     for n_epochs, frozen in phases:
         # fresh optimizer state per phase so fine-tuning starts cleanly
-        opt_state = (AdadeltaState(rho=cfg.rho, eps=cfg.eps) if adadelta
-                     else SgdState(lr=cfg.lr))
+        opt_state = AdadeltaState()
         best_f = -1.0
         best_params = None
         since_best = 0
@@ -355,8 +306,8 @@ def train(model, train_samples, cfg, val_samples=None, on_epoch=None):
             order = rng.permutation(len(train_samples))
             try:
                 mean_loss = _run_epoch(model, train_samples, order, cfg, frozen,
-                                       opt_state, opt_step)
-                report = evaluate(model, eval_samples, threshold=cfg.threshold)
+                                       opt_state)
+                report = evaluate(model, eval_samples)
             except NumericsError as e:
                 raise DivergenceError(str(e), model=model) from e
             log.append(epoch, mean_loss, report)

@@ -33,6 +33,14 @@ def tiny_arch(tmp_path):
     return path
 
 
+def tiny_ckpt(tmp_path):
+    """An untrained checkpoint of tiny_arch's net."""
+    path = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(ArchitectureConfig.from_json(
+        open(tiny_arch(tmp_path)).read()), Rng(4)), path)
+    return path
+
+
 @pytest.fixture
 def dataset(tmp_path):
     out = str(tmp_path / "data")
@@ -121,9 +129,7 @@ def test_predict_rejects_frame_directories_it_cannot_read(tmp_path, capsys):
     directory: a non-image file, a subdirectory, a 16-bit PGM, a colour
     frame among grey ones, an empty directory and a missing one."""
     from rfcn import data
-    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
-    ckpt = str(tmp_path / "m.ckpt")
-    save_checkpoint(init_model(cfg, Rng(4)), ckpt)
+    ckpt = tiny_ckpt(tmp_path)
     grey = np.zeros((28, 28), dtype=np.uint8)
 
     def frames(tag, extra=None):
@@ -160,9 +166,11 @@ def test_predict_rejects_frame_directories_it_cannot_read(tmp_path, capsys):
 def test_malformed_manifest_exits_1(tmp_path, dataset, capsys):
     """A manifest that is not an object holding a list of well-formed
     sequence entries is one error line and exit 1, not a traceback, and a
-    misspelt split is not silently dropped from both splits."""
+    misspelt split is not silently dropped from both splits. So is a
+    manifest that is not UTF-8, such as a checkpoint given as --data."""
     doc = json.load(open(dataset))
     base = os.path.dirname(dataset)
+    ckpt = tiny_ckpt(tmp_path)
 
     def entry(**edit):
         seqs = [dict(s) for s in doc["sequences"]]
@@ -180,13 +188,14 @@ def test_malformed_manifest_exits_1(tmp_path, dataset, capsys):
         "no-length": entry(length=None), "negative-length": entry(length=-1),
         "string-length": entry(length="3"), "float-length": entry(length=3.0),
         "bool-length": entry(length=True), "misspelt-split": entry(split="tset"),
+        "utf16-bom": b"\xff\xfe{}", "checkpoint": open(ckpt, "rb").read(),
     }
     for tag, bad in cases.items():
         manifest = os.path.join(base, f"{tag}.json")
-        with open(manifest, "w") as f:
-            json.dump(bad, f)
+        with open(manifest, "wb") as f:
+            f.write(bad if isinstance(bad, bytes) else json.dumps(bad).encode())
         report = tmp_path / f"{tag}.report.json"
-        rc = main(["eval", "--oracle", "--data", manifest, "--report", str(report),
+        rc = main(["eval", "--ckpt", ckpt, "--data", manifest, "--report", str(report),
                    "--split", "train"])
         err = capsys.readouterr().err
         assert rc == 1, tag
@@ -204,9 +213,7 @@ def test_windowed_predict_matches_per_window_predict(tmp_path):
                  "--seed", "6", "--train", "1"]) == 0
     frames_dir = os.path.join(out, json.load(open(os.path.join(
         out, "manifest.json")))["sequences"][0]["dir"], "frames")
-    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
-    ckpt = str(tmp_path / "m.ckpt")
-    save_checkpoint(init_model(cfg, Rng(4)), ckpt)
+    ckpt = tiny_ckpt(tmp_path)
     masks = str(tmp_path / "masks")
     assert main(["predict", "--ckpt", ckpt, "--frames", frames_dir,
                  "--out", masks]) == 0
@@ -233,15 +240,6 @@ def test_train_determinism_bitwise(tmp_path, dataset):
         assert rc == 0
         outs.append((open(ckpt, "rb").read(), open(log).read()))
     assert outs[0] == outs[1]
-
-
-def test_eval_oracle_scores_one(tmp_path, dataset):
-    report = str(tmp_path / "oracle.json")
-    rc = main(["eval", "--data", dataset, "--report", report, "--oracle",
-               "--split", "train"])
-    assert rc == 0
-    rep = json.load(open(report))
-    assert rep["f_measure"] == 1.0 and rep["iou"] == 1.0
 
 
 def test_eval_scores_multiclass_ids_as_foreground(tmp_path, monkeypatch):
@@ -319,9 +317,10 @@ def test_usage_errors_exit_2(tmp_path, dataset):
     rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
                "--config", bad, "--out", str(tmp_path / "x.ckpt")])
     assert rc == 2
-    # eval with neither a checkpoint nor the oracle
-    rc = main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
-    assert rc == 2
+    # eval without a checkpoint: argparse exits
+    with pytest.raises(SystemExit) as info:
+        main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
+    assert info.value.code == 2
     # a window that is not a positive integer
     for window in ("-1", "0"):
         rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
@@ -506,8 +505,8 @@ def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset, capsys):
 
 def test_out_of_range_counts_exit_2_and_write_nothing(tmp_path, dataset, capsys):
     """gen-data with fewer than one sequence or frame, or more training
-    sequences than sequences, and eval --oracle with a window below 1, each
-    exit 2 with one error line and write no directory or report."""
+    sequences than sequences, each exit 2 with one error line and write no
+    directory."""
     for flags in (["--sequences", "-1"], ["--sequences", "0"],
                   ["--sequences", "3", "--train", "5"],
                   ["--sequences", "3", "--train", "-1"],
@@ -519,26 +518,51 @@ def test_out_of_range_counts_exit_2_and_write_nothing(tmp_path, dataset, capsys)
         assert rc == 2, flags
         assert err.startswith("error: ") and err.count("\n") == 1, (flags, err)
         assert not out.exists(), flags
-    for window in ("0", "-2"):
-        report = tmp_path / "r.json"
-        rc = main(["eval", "--oracle", "--data", dataset, "--report", str(report),
-                   "--window", window])
-        assert rc == 2, window
-        assert not report.exists(), window
 
 
-def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys):
-    """SGD at lr 1e8 drives fc-lenet's logits to inf within three epochs.
-    That fails check_finite before any loss is non-finite, and used to exit
-    1 with no debug checkpoint."""
+def test_threshold_or_tolerance_out_of_range_exits_2_and_writes_nothing(
+        tmp_path, dataset, capsys):
+    """A --threshold outside [0, 1] for eval or predict, and a gradcheck
+    --tol that is negative or not finite, exit 2 with one error line and
+    write nothing. A NaN threshold used to score F = 0 and exit 0, and a NaN
+    tolerance failed every audit row."""
+    ckpt = tiny_ckpt(tmp_path)
+    frames = os.path.join(os.path.dirname(dataset), "seq_00000", "frames")
+    out = tmp_path / "out"
+    runs = [["gradcheck", f"--tol={tol}"] for tol in ("nan", "inf", "-1e-4")]
+    for threshold in ("nan", "-0.1", "1.5"):
+        runs += [["eval", "--ckpt", ckpt, "--data", dataset, "--report", str(out),
+                  f"--threshold={threshold}"],
+                 ["predict", "--ckpt", ckpt, "--frames", frames, "--out", str(out),
+                  f"--threshold={threshold}"]]
+    for argv in runs:
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, argv
+        assert captured.out == "" and not out.exists(), argv
+
+
+def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys, monkeypatch):
+    """An optimizer step that scales every parameter by 1e30 drives
+    fc-lenet's logits to inf. That fails check_finite before any loss is
+    non-finite, and used to exit 1 with no debug checkpoint."""
+    from rfcn import training
+    step = training.adadelta_step
+
+    def exploding_step(params, grads, state):
+        step(params, grads, state)
+        for v in params.values():
+            v *= np.float32(1e30)
+
+    monkeypatch.setattr(training, "adadelta_step", exploding_step)
     data = str(tmp_path / "d")
     assert main(["gen-data", "--out", data, "--sequences", "3", "--length", "4"]) == 0
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"optimizer": "sgd", "lr": 1e8}))
     out = str(tmp_path / "m.ckpt")
     capsys.readouterr()
     rc = main(["train", "--arch", "fc-lenet", "--data", os.path.join(data, "manifest.json"),
-               "--config", str(cfg), "--out", out, "--max-epochs", "3", "--patience", "0"])
+               "--out", out, "--max-epochs", "3", "--patience", "0"])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
     assert not os.path.exists(out)
@@ -549,23 +573,27 @@ def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys):
 
 
 def test_train_config_of_the_wrong_type_or_range_exits_2(tmp_path, capsys):
-    """Each bad train config field is one error line and exit 2 before any
-    data loads (the manifest does not exist), where it used to end in a
-    numpy traceback after set-up, train on a string seed, read a freeze
-    string as its characters, or fill the weights with NaN."""
+    """Each bad train config is one error line and exit 2 before any data
+    loads (the manifest does not exist), where it used to end in a numpy
+    traceback after set-up, train on a string seed, or end in a
+    UnicodeDecodeError traceback for a file that is not UTF-8. The optimizer,
+    rho, eps, lr, threshold and freeze settings are gone: a config naming one
+    is an unknown key."""
     cfg = tmp_path / "c.json"
     out = str(tmp_path / "m.ckpt")
-    for config in ({"rho": "0.9"}, {"threshold": "x"}, {"eps": None},
-                   {"optimizer": "sgd", "lr": "0.1"}, {"seed": "3"},
-                   {"max_epochs": True}, {"freeze": "pre.*"}, {"eps": 0},
-                   {"eps": -1}, {"rho": 1.5}, {"lr": 0}, {"optimizer": "adam"}):
-        cfg.write_text(json.dumps(config))
+    removed = ({"rho": "0.9"}, {"threshold": "x"}, {"eps": None},
+               {"optimizer": "sgd", "lr": "0.1"}, {"freeze": "pre.*"}, {"eps": 0},
+               {"eps": -1}, {"rho": 1.5}, {"lr": 0}, {"optimizer": "adam"})
+    for config in removed + ({"seed": "3"}, {"max_epochs": True}, {"batch_size": 0},
+                             b"\xff\xfe{}"):
+        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         capsys.readouterr()
         rc = main(["train", "--arch", "fc-lenet", "--data", str(tmp_path / "none.json"),
                    "--config", str(cfg), "--out", out])
         err = capsys.readouterr().err
         assert rc == 2, config
         assert err.startswith("error: ") and err.count("\n") == 1, (config, err)
+        assert ("unknown keys" in err) == (config in removed), (config, err)
         assert not os.path.exists(out), config
 
 

@@ -10,13 +10,14 @@ from collections import OrderedDict
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rfcn.data import frame_values
 from rfcn.errors import CheckpointError, ConfigError, DataError, ShapeError
 from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
-                        PRESET_NAMES, RecurrentSpec, SkipLink, backward_window,
+                        PRESET_NAMES, RecurrentSpec, SkipLink, _layer_backward,
+                        _layer_forward, _layer_output_shape, backward_window,
                         forward_stream, forward_window, forward_windows, init_model,
                         load_checkpoint, load_matching, preset,
                         save_checkpoint, shape_check)
@@ -173,6 +174,36 @@ def test_shape_check_rejects_an_unflatten_without_a_chw_target():
         cfg.post = [LayerSpec("unflatten", target_shape=target)]
         with pytest.raises(ConfigError):
             shape_check(cfg)
+
+
+@st.composite
+def sliding_layers(draw):
+    """A small conv, conv1x1, deconv or pool spec (stride 0 is the default)
+    and a (c, h, w) input, not all of which the shape rule accepts."""
+    spec = LayerSpec(draw(st.sampled_from(("conv", "conv1x1", "deconv", "pool"))),
+                     size=draw(st.integers(1, 4)), stride=draw(st.integers(0, 3)),
+                     pad=draw(st.integers(0, 2)), depth=draw(st.integers(1, 3)))
+    return spec, (draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+
+
+@given(sliding_layers())
+def test_the_shape_rule_agrees_with_the_layers(case):
+    """Where _layer_output_shape accepts a spec and input, the layer run on a
+    zero input of that shape, with parameters of the shapes it reports,
+    returns the output shape it reports, and its backward gives the input's
+    shape and one gradient of each reported parameter shape."""
+    spec, dims = case
+    try:
+        (form, out), pshapes = _layer_output_shape(spec, ("chw", dims))
+    except ConfigError:
+        reject()
+    params = {f"l.{k}": np.zeros(v, np.float32) for k, v in pshapes.items()}
+    x = np.zeros((1,) + dims, np.float32)
+    y, cache = _layer_forward(spec, params, "l", x)
+    assert form == "chw" and y.shape == (1,) + out
+    grads = {}
+    assert _layer_backward(spec, params, "l", np.zeros_like(y), cache, grads).shape == x.shape
+    assert {k: g.shape for k, g in grads.items()} == {k: v.shape for k, v in params.items()}
 
 
 def test_init_model_is_deterministic():

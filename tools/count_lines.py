@@ -7,7 +7,8 @@ A line counts when it holds any token other than a comment, a line break,
 an indent or dedent, or the encoding and end markers; every line a
 multi-line string spans counts, so docstrings count. SRC_DIR defaults to
 src/rfcn next to this script's directory. Prints one line per module and
-the total.
+the total. A reader that closes the pipe early (`| head`) ends the run
+quietly, with exit status 1.
 
 Then prints one "unreached" line per function, class or variable defined at
 the top level of a SRC_DIR module that no identifier names but its own
@@ -96,4 +97,12 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    try:
+        status = main(sys.argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (`| head`): stop quietly, with
+        # stdout pointed at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

@@ -11,7 +11,7 @@ OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1). The list:
   IDX digit pair this script writes;
 - train for 2 epochs, with a CSV log: fc-lenet, rfc-lenet, a conv-GRU net
   and a dense LSTM net with a tanh candidate, plus rfc-lenet in decoupled
-  mode with SGD, seeded from the fc-lenet checkpoint;
+  mode, seeded from the fc-lenet checkpoint;
 - for each of the five checkpoints: windowed and streamed predict on one
   sequence, and eval on the test split;
 - preset for every name; gradcheck at seed 3.
@@ -77,7 +77,7 @@ def commands():
                                       "--log", f"{tag}.csv"] + common))
     cmds.append(("train_decoupled", [
         "train", "--arch", "rfc-lenet", "--out", "decoupled.ckpt", "--log", "decoupled.csv",
-        "--mode", "decoupled", "--optimizer", "sgd", "--init-ckpt", "fc-lenet.ckpt"] + common))
+        "--mode", "decoupled", "--init-ckpt", "fc-lenet.ckpt"] + common))
     for tag in list(NETS) + ["decoupled"]:
         frames = ["--ckpt", f"{tag}.ckpt", "--frames", "binary/seq_00000/frames"]
         cmds += [(f"predict_{tag}", ["predict"] + frames + ["--out", f"masks_{tag}"]),
