@@ -33,17 +33,14 @@ def _atomic_write_text(path, text):
     os.replace(tmp, path)
 
 
-def _load_arch(spec, window=None):
+def _load_arch(spec):
     if spec in PRESET_NAMES:
-        cfg = preset(spec)
-    else:
-        try:
-            with open(spec, "rb") as f:
-                cfg = ArchitectureConfig.from_json(f.read())
-        except OSError as e:
-            raise ConfigError(f"unknown preset and unreadable config file: {e}") from e
-    if window is not None:
-        cfg.window = window
+        return preset(spec)
+    try:
+        with open(spec, "rb") as f:
+            cfg = ArchitectureConfig.from_json(f.read())
+    except OSError as e:
+        raise ConfigError(f"unknown preset and unreadable config file: {e}") from e
     shape_check(cfg)
     return cfg
 
@@ -67,9 +64,9 @@ def _samples_for(manifest, split, window):
 
 def cmd_gen_data(args):
     digits = labels = None
-    if args.mnist_images:
-        if not args.mnist_labels:
-            raise ConfigError("--mnist-images requires --mnist-labels")
+    if args.mnist_images or args.mnist_labels:
+        if not (args.mnist_images and args.mnist_labels):
+            raise ConfigError("--mnist-images and --mnist-labels go together")
         digits, labels = data_mod.load_mnist_idx(args.mnist_images, args.mnist_labels)
     manifest = data_mod.generate_dataset(
         args.out, args.sequences, args.length, args.seed, n_train=args.train,
@@ -78,28 +75,14 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _train_config(args):
-    """The train config file's fields with the CLI flags laid over them,
-    validated once as a whole."""
-    d = {}
-    if args.config:
-        try:
-            with open(args.config) as f:
-                d = json.load(f)
-        except (OSError, ValueError) as e:  # bad JSON or not UTF-8
-            raise ConfigError(f"cannot read train config: {e}") from e
-        if not isinstance(d, dict):
-            raise ConfigError("train config must be a JSON object")
-    for flag in ("max_epochs", "seed", "mode", "batch_size", "patience"):
-        v = getattr(args, flag)
-        if v is not None:
-            d[flag] = v
-    return TrainConfig.from_dict(d)
+# the train flags, by TrainConfig field name
+TRAIN_FLAGS = ("max_epochs", "batch_size", "mode", "seed", "patience")
 
 
 def cmd_train(args):
-    arch = _load_arch(args.arch, window=args.window)
-    cfg = _train_config(args)
+    arch = _load_arch(args.arch)
+    cfg = TrainConfig(**{k: getattr(args, k) for k in TRAIN_FLAGS
+                         if getattr(args, k) is not None})
     model = init_model(arch, Rng(cfg.seed))
     if args.init_ckpt:
         copied = load_matching(model, args.init_ckpt)
@@ -215,7 +198,6 @@ def build_parser():
     t.add_argument("--arch", required=True,
                    help=f"preset ({', '.join(PRESET_NAMES)}) or config JSON path")
     t.add_argument("--data", required=True, help="dataset manifest")
-    t.add_argument("--config", help="train config JSON")
     t.add_argument("--out", required=True, help="checkpoint path")
     t.add_argument("--log", help="CSV log path")
     t.add_argument("--init-ckpt", help="seed matching tensors from a checkpoint")
@@ -224,7 +206,6 @@ def build_parser():
     t.add_argument("--seed", type=int)
     t.add_argument("--mode", choices=MODES)
     t.add_argument("--patience", type=int)
-    t.add_argument("--window", type=int, default=None)
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")

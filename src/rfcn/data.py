@@ -160,12 +160,11 @@ def _check_mode(mode):
         raise DataError(f"mask mode must be one of {MASK_MODES}, got {mode!r}")
 
 
-def gen_moving_mnist(digits, labels, velocity, length, rng, mode="binary",
+def gen_moving_mnist(digits, labels, length, rng, mode="binary",
                      max_offset=DEFAULT_MAX_OFFSET, source_id=""):
     """Synthesize one sequence by translating a randomly chosen digit with a
-    constant (dx, dy) velocity (sample_motion's when None) that bounces off
-    the offset bounds; masks are the frames thresholded at
-    DEFAULT_THRESHOLD.
+    constant (dx, dy) velocity drawn by sample_motion that bounces off the
+    offset bounds; masks are the frames thresholded at DEFAULT_THRESHOLD.
 
     mode="binary" labels foreground as class 1; mode="semantic" labels it as
     digit class + 1, which must fit a mask (at most MAX_CLASS_ID).
@@ -182,7 +181,7 @@ def gen_moving_mnist(digits, labels, velocity, length, rng, mode="binary",
     idx = int(rng.integers(digits.shape[0]))
     base = digits[idx]
     cls = 1 if mode == "binary" else int(labels[idx]) + 1
-    dx, dy = sample_motion(rng) if velocity is None else velocity
+    dx, dy = sample_motion(rng)
     ox = rng.uniform(-max_offset, max_offset)
     oy = rng.uniform(-max_offset, max_offset)
     frames = []
@@ -471,7 +470,7 @@ def generate_dataset(out_dir, n_sequences, length, seed, n_train=None,
     entries = []
     for i in range(n_sequences):
         sid = f"seq_{i:05d}"
-        seq = gen_moving_mnist(digits, labels, None, length, rngs[i], mode=mode,
+        seq = gen_moving_mnist(digits, labels, length, rngs[i], mode=mode,
                                source_id=sid)
         save_sequence(seq, os.path.join(out_dir, sid))
         entries.append(ManifestEntry(

@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _is_count(v):
 
 
 # What the JSON value of a config field must be, by the field's annotated
-# type; a field of another type (the recurrent node) has its own from_dict.
+# type; a field of another type (the recurrent node) is judged by its spec.
 _JSON_TYPES = {
     int: ("a non-negative integer", _is_count),
     str: ("a string", lambda v: isinstance(v, str)),
@@ -58,10 +58,10 @@ _JSON_TYPES = {
 }
 
 
-def _checked(cls, d, where, required):
+def _checked(cls, d, where):
     """Return the JSON object d (or a dataclass's field values by name) once
-    it fits the dataclass cls: every key names a field, every name in
-    required is present, and every value has its field's JSON type. Raises
+    it fits the dataclass cls: every key names a field, every field with no
+    default is present, and every value has its field's JSON type. Raises
     ConfigError naming where otherwise."""
     if not isinstance(d, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(d).__name__}")
@@ -69,13 +69,30 @@ def _checked(cls, d, where, required):
     unknown = sorted(set(d) - set(types))
     if unknown:
         raise ConfigError(f"unknown keys {unknown} in {where}")
-    missing = [k for k in required if k not in d]
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ConfigError(f"{where} lacks keys {missing}")
     for k, v in d.items():
         what, ok = _JSON_TYPES.get(types[k], (None, None))
         if ok and not ok(v):
             raise ConfigError(f"{where}: {k} must be {what}, got {v!r}")
+    return d
+
+
+def _from_json(cls, d, where):
+    """The spec of dataclass cls that the JSON object d describes."""
+    return cls(**_checked(cls, d, where))
+
+
+def _to_json(spec):
+    """The JSON object of a spec: each field not at its default, tuples as
+    lists."""
+    d = {}
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.default is MISSING or v != f.default:
+            d[f.name] = list(v) if isinstance(v, tuple) else v
     return d
 
 
@@ -101,20 +118,6 @@ class LayerSpec:
             return self.stride
         return self.size if self.kind == "pool" else 1
 
-    def to_dict(self):
-        d = {"kind": self.kind}
-        for k in ("size", "stride", "pad", "depth"):
-            v = getattr(self, k)
-            if v:
-                d[k] = v
-        if self.target_shape is not None:
-            d["target_shape"] = list(self.target_shape)
-        return d
-
-    @classmethod
-    def from_dict(cls, d, where):
-        return cls(**_checked(cls, d, where, ("kind",)))
-
 
 @dataclass
 class RecurrentSpec:
@@ -131,22 +134,6 @@ class RecurrentSpec:
             raise ConfigError(f"unknown cell kind {self.kind!r}")
         cells.CELLS[self.kind].check(self)
 
-    def to_dict(self):
-        d = {"kind": self.kind, "hidden": self.hidden}
-        if self.kernel:
-            d["kernel"] = self.kernel
-        # an unknown kind still serializes, and then fails to load
-        cell = cells.CELLS.get(self.kind)
-        if cell is not None and len(cell.candidates) > 1:
-            d["candidate_activation"] = self.candidate_activation
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        if d is None:
-            return None
-        return cls(**_checked(cls, d, "recurrent", ("kind", "hidden")))
-
 
 @dataclass
 class SkipLink:
@@ -155,13 +142,6 @@ class SkipLink:
     source: int
     target: int
 
-    def to_dict(self):
-        return {"source": self.source, "target": self.target}
-
-    @classmethod
-    def from_dict(cls, d, where):
-        return cls(**_checked(cls, d, where, ("source", "target")))
-
 
 @dataclass
 class ArchitectureConfig:
@@ -169,8 +149,8 @@ class ArchitectureConfig:
     input_shape: tuple  # (c, h, w)
     num_classes: int
     pre: list
-    recurrent: RecurrentSpec
     post: list
+    recurrent: RecurrentSpec = None  # None: no cell
     skip_links: list = field(default_factory=list)
     window: int = 3
 
@@ -183,10 +163,10 @@ class ArchitectureConfig:
             "input_shape": list(self.input_shape),
             "num_classes": self.num_classes,
             "window": self.window,
-            "pre": [s.to_dict() for s in self.pre],
-            "recurrent": self.recurrent.to_dict() if self.recurrent else None,
-            "post": [s.to_dict() for s in self.post],
-            "skip_links": [s.to_dict() for s in self.skip_links],
+            "pre": [_to_json(s) for s in self.pre],
+            "recurrent": _to_json(self.recurrent) if self.recurrent else None,
+            "post": [_to_json(s) for s in self.post],
+            "skip_links": [_to_json(s) for s in self.skip_links],
         }
 
     def to_json(self):
@@ -197,13 +177,13 @@ class ArchitectureConfig:
         """The one judge of a malformed config: raises ConfigError for a
         non-object, missing or unknown keys at any level, and values of the
         wrong JSON type."""
-        _checked(cls, d, "config", ("name", "input_shape", "num_classes", "pre", "post"))
-        chains = {k: [parse(s, f"{k}[{i}]") for i, s in enumerate(d.get(k, []))]
-                  for k, parse in (("pre", LayerSpec.from_dict),
-                                   ("post", LayerSpec.from_dict),
-                                   ("skip_links", SkipLink.from_dict))}
-        return cls(**dict(d, recurrent=RecurrentSpec.from_dict(d.get("recurrent")),
-                          **chains))
+        _checked(cls, d, "config")
+        specs = {k: [_from_json(spec, s, f"{k}[{i}]") for i, s in enumerate(d.get(k, []))]
+                 for k, spec in (("pre", LayerSpec), ("post", LayerSpec),
+                                 ("skip_links", SkipLink))}
+        if d.get("recurrent") is not None:
+            specs["recurrent"] = _from_json(RecurrentSpec, d["recurrent"], "recurrent")
+        return cls(**dict(d, **specs))
 
     @classmethod
     def from_json(cls, text):
@@ -720,7 +700,9 @@ def preset(name, window=3):
     table = _presets()
     if name not in table:
         raise ConfigError(f"unknown preset {name!r}")
-    cfg = ArchitectureConfig(name, *table[name], window=window)
+    input_shape, num_classes, pre, recurrent, post, skip_links = table[name]
+    cfg = ArchitectureConfig(name, input_shape, num_classes, pre, post, recurrent,
+                             skip_links, window)
     shape_check(cfg)
     return cfg
 
@@ -764,7 +746,8 @@ def _read(f, n, what):
 
 def load_checkpoint(path, dtype=np.float32):
     """Load and validate a checkpoint; shapes and the name set must match the
-    embedded config exactly, and nothing may follow the last tensor."""
+    embedded config exactly, no name may appear twice, and nothing may follow
+    the last tensor."""
     with open(path, "rb") as f:
         if _read(f, 4, "magic") != CHECKPOINT_MAGIC:
             raise CheckpointError("bad magic bytes; not a checkpoint file")
@@ -788,6 +771,8 @@ def load_checkpoint(path, dtype=np.float32):
             dims = struct.unpack(f"<{rank}I", _read(f, 4 * rank, "dims"))
             if name not in report.param_shapes:
                 raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
+            if name in params:
+                raise CheckpointError(f"tensor {name!r} appears twice in checkpoint")
             if tuple(dims) != report.param_shapes[name]:
                 raise CheckpointError(
                     f"tensor {name!r} dims {dims} != config shape "

@@ -150,10 +150,9 @@ MODES = ("end-to-end", "decoupled")
 
 @dataclass
 class TrainConfig:
-    """Training settings. A JSON train config (from_dict) and keyword
-    construction are judged by one rule, model._checked: counts are
-    non-negative integers and mode a string; then batch_size >= 1 and mode
-    one of MODES."""
+    """Training settings, judged by the architecture config's rule,
+    model._checked: counts are non-negative integers and mode a string; then
+    batch_size >= 1 and mode one of MODES."""
 
     max_epochs: int = 500
     batch_size: int = 1
@@ -164,7 +163,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _checked(type(self), {f.name: getattr(self, f.name) for f in fields(self)},
-                 "train config", ())
+                 "train config")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode not in MODES:
@@ -172,10 +171,6 @@ class TrainConfig:
         if self.mode == "decoupled" and self.phase1_epochs > self.max_epochs:
             raise ConfigError(f"phase1_epochs {self.phase1_epochs} exceeds "
                               f"max_epochs {self.max_epochs}")
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**_checked(cls, d, "train config", ()))
 
 
 @dataclass
@@ -220,10 +215,10 @@ def logits_to_mask(model, logits, threshold=0.5):
     return np.argmax(logits, axis=0).astype(MASK_DTYPE)
 
 
-def predict(model, frames, threshold=0.5):
+def predict(model, frames):
     """Segment the last frame of a window."""
     logits, _ = forward_window(model, frames)
-    return logits_to_mask(model, logits, threshold)
+    return logits_to_mask(model, logits)
 
 
 def evaluate(model, samples, threshold=0.5, per_frame=False):

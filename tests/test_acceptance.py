@@ -231,7 +231,7 @@ def toy_12s_dataset():
     canvas[:, :, 4:32] = digits[:, 2:26, :]
     tr, te = [], []
     for i, rng in enumerate(Rng(11).spawn(70)):
-        seq = D.gen_moving_mnist(canvas, labels, None, 5, rng, max_offset=4.0)
+        seq = D.gen_moving_mnist(canvas, labels, 5, rng, max_offset=4.0)
         (tr if i < 55 else te).extend(D.sliding_windows(seq, 3))
     return tr, te
 

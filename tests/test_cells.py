@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from rfcn import cells
+from rfcn import cells, model
 from rfcn.errors import ConfigError, ShapeError
 from rfcn.model import RecurrentSpec
 from rfcn.tensor import Rng, sigmoid
@@ -122,7 +122,7 @@ def test_cells_reject_fields_their_kind_ignores():
     for kind, kernel in (("gru", 0), ("conv_gru", 3)):
         with pytest.raises(ConfigError):
             RecurrentSpec(kind, hidden=4, kernel=kernel, candidate_activation="tanh")
-    assert RecurrentSpec("gru", hidden=4).to_dict() == {"kind": "gru", "hidden": 4}
+    assert model._to_json(RecurrentSpec("gru", hidden=4)) == {"kind": "gru", "hidden": 4}
 
 
 def test_cell_table_init_starts_a_gru_as_a_pass_through():

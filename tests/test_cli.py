@@ -4,6 +4,7 @@ exit codes."""
 import itertools
 import json
 import os
+import struct
 from collections import OrderedDict
 from types import SimpleNamespace
 
@@ -276,25 +277,21 @@ def test_eval_scores_multiclass_ids_as_foreground(tmp_path, monkeypatch):
 
 def test_train_on_a_semantic_set_needs_no_train_config(tmp_path):
     """The loss follows num_classes: a multiclass net trains on a semantic
-    set's class ids with no train config file, and a train config that
-    still names a loss fails as an unknown key."""
+    set's class ids with no train setting naming a loss."""
     out = str(tmp_path / "data")
     assert main(["gen-data", "--out", out, "--sequences", "3", "--length", "3",
                  "--seed", "5", "--train", "2", "--mode", "semantic"]) == 0
     cfg = ArchitectureConfig(
         name="semantic", input_shape=(1, 28, 28), num_classes=11, window=3,
         pre=[LayerSpec("conv", size=3, pad=1, depth=11)], recurrent=None, post=[])
-    arch, train_cfg = str(tmp_path / "arch.json"), str(tmp_path / "train.json")
+    arch = str(tmp_path / "arch.json")
     with open(arch, "w") as f:
         f.write(cfg.to_json())
-    with open(train_cfg, "w") as f:
-        json.dump({"loss": "multiclass-cross-entropy"}, f)
     ckpt = str(tmp_path / "m.ckpt")
     args = ["train", "--arch", arch, "--data", os.path.join(out, "manifest.json"),
             "--out", ckpt, "--max-epochs", "1", "--patience", "0"]
     assert main(args) == 0
     assert load_checkpoint(ckpt).config.num_classes == 11
-    assert main(args + ["--config", train_cfg]) == 2
 
 
 def test_preset_subcommand_emits_json(tmp_path):
@@ -311,36 +308,26 @@ def test_usage_errors_exit_2(tmp_path, dataset):
     rc = main(["train", "--arch", "no-such-arch", "--data", dataset,
                "--out", str(tmp_path / "x.ckpt")])
     assert rc == 2
-    # bad train config key
-    bad = str(tmp_path / "bad.json")
-    open(bad, "w").write('{"max_epoch": 3}')
-    rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
-               "--config", bad, "--out", str(tmp_path / "x.ckpt")])
-    assert rc == 2
     # eval without a checkpoint: argparse exits
     with pytest.raises(SystemExit) as info:
         main(["eval", "--data", dataset, "--report", str(tmp_path / "r.json")])
     assert info.value.code == 2
-    # a window that is not a positive integer
-    for window in ("-1", "0"):
-        rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
-                   "--window", window, "--out", str(tmp_path / "x.ckpt")])
+    # an architecture whose window is not a positive integer
+    for window in (-1, 0):
+        doc = json.load(open(tiny_arch(tmp_path)))
+        doc["window"] = window
+        arch = str(tmp_path / "window.json")
+        open(arch, "w").write(json.dumps(doc))
+        out = str(tmp_path / "window.ckpt")
+        rc = main(["train", "--arch", arch, "--data", dataset, "--out", out])
         assert rc == 2, window
-    # train config values out of range, from a flag or from the config file;
-    # a flag that overrides the file is validated with it
-    cfg_file = str(tmp_path / "cfg.json")
-    for config, flags in (({}, ["--max-epochs", "-1"]), ({}, ["--batch-size", "0"]),
-                          ({}, ["--patience", "-1"]),
-                          ({"phase1_epochs": -1}, ["--mode", "decoupled"]),
-                          ({"max_epochs": 3}, ["--max-epochs", "-1"]),
-                          ({"phase1_epochs": 5}, ["--mode", "decoupled",
-                                                  "--max-epochs", "2"]),
-                          ([1], [])):
-        open(cfg_file, "w").write(json.dumps(config))
+        assert not os.path.exists(out)
+    # train flags out of range
+    for flags in (["--max-epochs", "-1"], ["--batch-size", "0"], ["--patience", "-1"]):
         out = str(tmp_path / "range.ckpt")
         rc = main(["train", "--arch", tiny_arch(tmp_path), "--data", dataset,
-                   "--config", cfg_file, "--out", out] + flags)
-        assert rc == 2, (config, flags)
+                   "--out", out] + flags)
+        assert rc == 2, flags
         assert not os.path.exists(out)
     # a dense layer: the kind is gone, and an FCN has none
     doc = json.load(open(tiny_arch(tmp_path)))
@@ -478,6 +465,41 @@ def test_checkpoint_with_a_non_utf8_name_exits_1(tmp_path, dataset, capsys):
     assert "unexpected tensor" in capsys.readouterr().err
 
 
+def test_checkpoint_that_names_a_tensor_twice_exits_1(tmp_path, dataset, capsys):
+    """A second record of a tensor, appended with the count raised by one,
+    used to load, its copy replacing the first."""
+    cfg = ArchitectureConfig.from_json(open(tiny_arch(tmp_path)).read())
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(init_model(cfg, Rng(3)), ckpt)
+    blob = open(ckpt, "rb").read()
+    at = 12 + struct.unpack("<I", blob[8:12])[0]  # the tensor count
+    (count,) = struct.unpack("<I", blob[at:at + 4])
+    name = b"pre.0.conv.weights"
+    record = (struct.pack("<I", len(name)) + name + struct.pack("<B4I", 4, 2, 1, 3, 3)
+              + np.full(18, 7, "<f4").tobytes())
+    open(ckpt, "wb").write(blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + record)
+    capsys.readouterr()
+    rc = main(["eval", "--ckpt", ckpt, "--data", dataset,
+               "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    assert "appears twice" in capsys.readouterr().err
+
+
+def test_gen_data_takes_both_idx_files_or_neither(tmp_path, capsys):
+    """--mnist-labels without --mnist-images used to be ignored, the built-in
+    glyphs used instead; each flag alone exits 2 with one error line and
+    writes nothing."""
+    out = tmp_path / "gen"
+    for flag in ("--mnist-images", "--mnist-labels"):
+        capsys.readouterr()
+        rc = main(["gen-data", "--out", str(out), "--sequences", "3", "--length", "4",
+                   flag, str(tmp_path / "nosuch.idx")])
+        err = capsys.readouterr().err
+        assert rc == 2, flag
+        assert err.startswith("error: ") and err.count("\n") == 1, (flag, err)
+        assert not out.exists(), flag
+
+
 def test_poisoned_checkpoint_fails_cleanly(tmp_path, dataset, capsys):
     """A NaN in an --init-ckpt is a fault of the input: exit 1 naming the
     tensor before training, with no checkpoint and no debug checkpoint. The
@@ -570,31 +592,6 @@ def test_diverging_training_exits_3_with_a_debug_checkpoint(tmp_path, capsys, mo
     assert debug.config.name == "fc-lenet"
     # the diverged weights, not the initial ones
     assert max(np.abs(v).max() for v in debug.params.values()) > 1e6
-
-
-def test_train_config_of_the_wrong_type_or_range_exits_2(tmp_path, capsys):
-    """Each bad train config is one error line and exit 2 before any data
-    loads (the manifest does not exist), where it used to end in a numpy
-    traceback after set-up, train on a string seed, or end in a
-    UnicodeDecodeError traceback for a file that is not UTF-8. The optimizer,
-    rho, eps, lr, threshold and freeze settings are gone: a config naming one
-    is an unknown key."""
-    cfg = tmp_path / "c.json"
-    out = str(tmp_path / "m.ckpt")
-    removed = ({"rho": "0.9"}, {"threshold": "x"}, {"eps": None},
-               {"optimizer": "sgd", "lr": "0.1"}, {"freeze": "pre.*"}, {"eps": 0},
-               {"eps": -1}, {"rho": 1.5}, {"lr": 0}, {"optimizer": "adam"})
-    for config in removed + ({"seed": "3"}, {"max_epochs": True}, {"batch_size": 0},
-                             b"\xff\xfe{}"):
-        cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-        capsys.readouterr()
-        rc = main(["train", "--arch", "fc-lenet", "--data", str(tmp_path / "none.json"),
-                   "--config", str(cfg), "--out", out])
-        err = capsys.readouterr().err
-        assert rc == 2, config
-        assert err.startswith("error: ") and err.count("\n") == 1, (config, err)
-        assert ("unknown keys" in err) == (config in removed), (config, err)
-        assert not os.path.exists(out), config
 
 
 def test_divergence_exit_3(tmp_path, dataset, monkeypatch):

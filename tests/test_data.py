@@ -116,7 +116,7 @@ def test_gen_moving_mnist_zero_offset_bound_returns():
     """With no room to move, a bouncing digit stays put instead of
     reflecting off the zero-width range forever."""
     digits, labels = D.builtin_digits()
-    seq = D.gen_moving_mnist(digits, labels, (1.5, -0.5), 4, Rng(405), max_offset=0)
+    seq = D.gen_moving_mnist(digits, labels, 4, Rng(405), max_offset=0)
     assert len(seq) == 4
     for frame in seq.frames[1:]:
         npt.assert_array_equal(frame, seq.frames[0])
@@ -125,7 +125,7 @@ def test_gen_moving_mnist_zero_offset_bound_returns():
 def test_gen_moving_mnist_masks_are_thresholded_frames():
     digits, labels = D.builtin_digits()
     rng = Rng(404)
-    seq = D.gen_moving_mnist(digits, labels, None, 5, rng)
+    seq = D.gen_moving_mnist(digits, labels, 5, rng)
     assert len(seq) == 5
     for frame, mask in zip(seq.frames, seq.masks):
         assert frame.shape == (1, 28, 28)
@@ -136,7 +136,7 @@ def test_gen_moving_mnist_masks_are_thresholded_frames():
 def test_gen_moving_mnist_semantic_mode_uses_digit_class():
     digits, labels = D.builtin_digits()
     rng = Rng(405)
-    seq = D.gen_moving_mnist(digits, labels, None, 3, rng, mode="semantic")
+    seq = D.gen_moving_mnist(digits, labels, 3, rng, mode="semantic")
     fg = set()
     for mask in seq.masks:
         assert mask.dtype == np.uint8
@@ -149,11 +149,11 @@ def test_gen_moving_mnist_semantic_mode_uses_digit_class():
 def test_gen_moving_mnist_semantic_rejects_class_ids_above_a_byte():
     """Class id = label + 1 must fit a uint8 mask; 256 would wrap to 0."""
     digits, _ = D.builtin_digits()
-    top = D.gen_moving_mnist(digits, np.full(10, 254), None, 2, Rng(410),
+    top = D.gen_moving_mnist(digits, np.full(10, 254), 2, Rng(410),
                              mode="semantic")
     assert {int(v) for m in top.masks for v in np.unique(m)} == {0, 255}
     with pytest.raises(DataError):
-        D.gen_moving_mnist(digits, np.full(10, 255), None, 2, Rng(410),
+        D.gen_moving_mnist(digits, np.full(10, 255), 2, Rng(410),
                            mode="semantic")
 
 
@@ -162,7 +162,7 @@ def test_gen_moving_mnist_rejects_an_empty_digit_set():
     and digits of the wrong rank draw no sequence."""
     for shape in ((0, 28, 28), (2, 0, 0), (2, 28, 0), (2, 28)):
         with pytest.raises(DataError):
-            D.gen_moving_mnist(np.zeros(shape), np.zeros(2, int), None, 2, Rng(411))
+            D.gen_moving_mnist(np.zeros(shape), np.zeros(2, int), 2, Rng(411))
 
 
 def test_unknown_mask_mode_is_data_error(tmp_path):
@@ -171,7 +171,7 @@ def test_unknown_mask_mode_is_data_error(tmp_path):
     digits, labels = D.builtin_digits()
     for mode in ("Binary", "instance", ""):
         with pytest.raises(DataError):
-            D.gen_moving_mnist(digits, labels, None, 2, Rng(411), mode=mode)
+            D.gen_moving_mnist(digits, labels, 2, Rng(411), mode=mode)
         out = tmp_path / f"set{mode}"
         with pytest.raises(DataError):
             D.generate_dataset(str(out), 2, 2, seed=0, mode=mode)
@@ -240,7 +240,7 @@ def test_read_pgm_rejects_garbage(tmp_path):
 
 def test_save_load_sequence_roundtrip(tmp_path):
     digits, labels = D.builtin_digits()
-    seq = D.gen_moving_mnist(digits, labels, None, 4, Rng(407))
+    seq = D.gen_moving_mnist(digits, labels, 4, Rng(407))
     d = str(tmp_path / "seq")
     D.save_sequence(seq, d)
     back = D.load_frame_directory(d + "/frames", d + "/masks", source_id="s")
@@ -318,7 +318,7 @@ def test_save_load_sequence_roundtrips_masks_bitwise(seq):
 
 def test_sliding_windows_targets_last_frame():
     digits, labels = D.builtin_digits()
-    seq = D.gen_moving_mnist(digits, labels, None, 6, Rng(408))
+    seq = D.gen_moving_mnist(digits, labels, 6, Rng(408))
     samples = D.sliding_windows(seq, 3)
     assert len(samples) == 4
     for end, s in enumerate(samples, start=2):

@@ -6,6 +6,7 @@ import itertools
 import json
 import struct
 from collections import OrderedDict
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from rfcn import cells
 from rfcn.data import frame_values
 from rfcn.errors import CheckpointError, ConfigError, DataError, ShapeError
-from rfcn.model import (ArchitectureConfig, LayerSpec, ModelInstance,
+from rfcn.model import (LAYER_KINDS, ArchitectureConfig, LayerSpec, ModelInstance,
                         PRESET_NAMES, RecurrentSpec, SkipLink, _layer_backward,
                         _layer_forward, _layer_output_shape, backward_window,
                         forward_stream, forward_window, forward_windows, init_model,
@@ -166,6 +168,41 @@ def test_config_from_json_rejects_malformed_configs_at_any_level():
     for text in ("", "{", b"\xff", "null", '"rfc-12s"'):
         with pytest.raises(ConfigError):
             ArchitectureConfig.from_json(text)
+
+
+counts = st.integers(0, 4)
+layer_specs = st.builds(LayerSpec, st.sampled_from(LAYER_KINDS), size=counts,
+                        stride=counts, pad=counts, depth=counts,
+                        target_shape=st.none() | st.lists(counts, max_size=3).map(tuple))
+
+
+@st.composite
+def cell_specs(draw):
+    """A recurrent spec its kind accepts, any field of it off its default."""
+    kind = draw(st.sampled_from(sorted(cells.CELLS)))
+    cell = cells.CELLS[kind]
+    kernel = draw(st.sampled_from((1, 3, 5))) if cell.input_form == "chw" else 0
+    return RecurrentSpec(kind, hidden=draw(st.integers(1, 9)), kernel=kernel,
+                         candidate_activation=draw(st.sampled_from(cell.candidates)))
+
+
+@given(st.lists(layer_specs, max_size=4), st.none() | cell_specs(),
+       st.lists(layer_specs, max_size=4), st.lists(st.builds(SkipLink, counts, counts),
+                                                   max_size=2), counts)
+def test_config_json_roundtrips_and_names_only_fields_off_their_defaults(
+        pre, rec, post, links, window):
+    """A config's JSON loads back as an equal config, and each layer, cell
+    and skip spec in it names exactly its fields that differ from their
+    defaults (a field with no default always differs)."""
+    cfg = ArchitectureConfig("drawn", (1, 2, 3), 2, pre, post, rec, links, window)
+    doc = json.loads(cfg.to_json())
+    assert ArchitectureConfig.from_json(cfg.to_json()) == cfg
+    cell = [(rec, doc["recurrent"])] if rec else []
+    for spec, d in cell + list(zip(pre + post + links,
+                                   doc["pre"] + doc["post"] + doc["skip_links"],
+                                   strict=True)):
+        defaults = {f.name: f.default for f in fields(spec)}
+        assert set(d) == {k for k, v in vars(spec).items() if v != defaults[k]}, (spec, d)
 
 
 def test_shape_check_rejects_an_unflatten_without_a_chw_target():

@@ -35,7 +35,7 @@ def tiny_samples(n, rng, length=4, window=2):
     small = digits[:, ::5, ::5][:, :6, :6]  # crop glyphs to 6x6
     samples = []
     for r in rng.spawn(n):
-        seq = D.gen_moving_mnist(small, labels, None, length, r, max_offset=2.0)
+        seq = D.gen_moving_mnist(small, labels, length, r, max_offset=2.0)
         samples.extend(D.sliding_windows(seq, window))
     return samples
 
@@ -240,24 +240,9 @@ def test_optimizers_reject_a_gradient_of_another_dtype_or_an_unwritable_param():
 # Train config and log
 
 
-def test_train_config_rejects_unknown_keys():
-    """TrainConfig has six settings. Training runs Adadelta at rho 0.95, eps
-    1e-6 and scores each epoch at threshold 0.5, so a config naming an
-    optimizer, rho, eps, lr, threshold or freeze setting is an unknown key."""
-    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
-        "max_epochs", "batch_size", "mode", "phase1_epochs", "seed", "patience"]
-    for name, value in (("learning_rat", 0.1), ("optimizer", "adadelta"), ("lr", 0.1),
-                        ("rho", 0.95), ("eps", 1e-6), ("threshold", 0.5), ("freeze", [])):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            TrainConfig.from_dict({"max_epochs": 5, name: value})
-
-
-def test_train_config_rejects_bad_mode_and_loss():
+def test_train_config_rejects_bad_mode():
     with pytest.raises(ConfigError):
         TrainConfig(mode="sideways")
-    # the loss follows the model's num_classes; a config naming one is stale
-    with pytest.raises(ConfigError):
-        TrainConfig.from_dict({"loss": "hinge"})
 
 
 def test_train_config_rejects_out_of_range_counts():
@@ -269,7 +254,7 @@ def test_train_config_rejects_out_of_range_counts():
                          ("phase1_epochs", -1), ("max_epochs", "3"),
                          ("patience", None)):
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({field: value})
+            TrainConfig(**{field: value})
     with pytest.raises(ConfigError):
         TrainConfig(max_epochs=2, phase1_epochs=5, mode="decoupled")
     TrainConfig(max_epochs=0, batch_size=1, patience=0, phase1_epochs=0)
@@ -277,17 +262,19 @@ def test_train_config_rejects_out_of_range_counts():
 
 
 def test_train_config_judges_types_and_ranges_one_way():
-    """Keyword construction and from_dict share one rule: a bool is not a
-    count, a string or a float is not a seed, and a mode is a string."""
+    """TrainConfig has six settings, each judged by the architecture
+    config's rule: a bool is not a count, a string or a float is not a seed,
+    and a mode is a string. Training runs Adadelta at rho 0.95, eps 1e-6 and
+    scores each epoch at threshold 0.5, so none of those is a setting."""
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+        "max_epochs", "batch_size", "mode", "phase1_epochs", "seed", "patience"]
     bad = (("max_epochs", True), ("seed", "3"), ("seed", 1.0), ("mode", 1),
            ("batch_size", 0), ("patience", 2.0))
     for name, value in bad:
         with pytest.raises(ConfigError):
             TrainConfig(**{name: value})
-        with pytest.raises(ConfigError):
-            TrainConfig.from_dict({name: value})
-    cfg = TrainConfig.from_dict({"max_epochs": 0, "batch_size": 2, "mode": "decoupled",
-                                 "phase1_epochs": 0, "seed": 7, "patience": 0})
+    cfg = TrainConfig(max_epochs=0, batch_size=2, mode="decoupled", phase1_epochs=0,
+                      seed=7, patience=0)
     assert (cfg.batch_size, cfg.mode, cfg.seed) == (2, "decoupled", 7)
 
 

@@ -10,10 +10,13 @@ OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1). The list:
 - gen-data: a binary set, a semantic set, and a binary set drawn from an
   IDX digit pair this script writes;
 - train for 2 epochs, with a CSV log: fc-lenet, rfc-lenet, a conv-GRU net
-  and a dense LSTM net with a tanh candidate, plus rfc-lenet in decoupled
-  mode, seeded from the fc-lenet checkpoint;
-- for each of the five checkpoints: windowed and streamed predict on one
-  sequence, and eval on the test split;
+  and a dense LSTM net with a tanh candidate on the binary set, and an
+  11-class conv-GRU net on the semantic set (softmax cross-entropy); plus
+  rfc-lenet in decoupled mode, seeded from the fc-lenet checkpoint, and the
+  conv-GRU net at batch size 2;
+- for each checkpoint but the batch-size-2 one: windowed and streamed
+  predict on one sequence of its set, and eval on its test split; one more
+  eval with --per-frame;
 - preset for every name; gradcheck at seed 3.
 
 Every command's stdout and exit status are kept as files beside its
@@ -33,8 +36,9 @@ import tempfile
 # Named here, not imported: the script runs each tree and imports neither.
 PRESETS = ("fc-lenet", "rfc-lenet", "fc-12s", "rfc-12s", "rfc-vgg", "rfcn-8s-sketch")
 
-# Architecture files written beside the data: a conv-GRU net, and a dense
-# LSTM net whose candidate activation is tanh.
+# Architecture files written beside the data: a conv-GRU net, a dense LSTM
+# net whose candidate activation is tanh, and a conv-GRU net with a class for
+# each semantic id (background and the ten digits).
 ARCHS = {
     "conv_gru.json": {
         "name": "conv-gru", "input_shape": [1, 28, 28], "num_classes": 1, "window": 3,
@@ -53,11 +57,21 @@ ARCHS = {
         "post": [{"kind": "unflatten", "target_shape": [1, 14, 14]},
                  {"kind": "deconv", "size": 2, "stride": 2, "depth": 1}],
         "skip_links": []},
+    "multiclass.json": {
+        "name": "multiclass", "input_shape": [1, 28, 28], "num_classes": 11, "window": 3,
+        "pre": [{"kind": "conv", "size": 3, "pad": 1, "depth": 4}, {"kind": "relu"},
+                {"kind": "pool", "size": 2}],
+        "recurrent": {"kind": "conv_gru", "hidden": 4, "kernel": 3},
+        "post": [{"kind": "conv1x1", "depth": 11},
+                 {"kind": "deconv", "size": 2, "stride": 2, "depth": 11}],
+        "skip_links": []},
 }
 
-DATA = "binary/manifest.json"
-NETS = {"fc-lenet": "fc-lenet", "rfc-lenet": "rfc-lenet",
-        "conv_gru": "conv_gru.json", "lstm": "lstm.json"}
+# net tag -> (architecture, the dataset directory it trains and runs on)
+NETS = {"fc-lenet": ("fc-lenet", "binary"), "rfc-lenet": ("rfc-lenet", "binary"),
+        "conv_gru": ("conv_gru.json", "binary"), "lstm": ("lstm.json", "binary"),
+        "multiclass": ("multiclass.json", "semantic"),
+        "decoupled": ("rfc-lenet", "binary")}
 
 
 def commands():
@@ -71,20 +85,25 @@ def commands():
                      "--seed", "4", "--mnist-images", "images.idx",
                      "--mnist-labels", "labels.idx"]),
     ]
-    common = ["--data", DATA, "--max-epochs", "2", "--patience", "2", "--seed", "1"]
-    for tag, arch in NETS.items():
-        cmds.append((f"train_{tag}", ["train", "--arch", arch, "--out", f"{tag}.ckpt",
-                                      "--log", f"{tag}.csv"] + common))
-    cmds.append(("train_decoupled", [
-        "train", "--arch", "rfc-lenet", "--out", "decoupled.ckpt", "--log", "decoupled.csv",
-        "--mode", "decoupled", "--init-ckpt", "fc-lenet.ckpt"] + common))
-    for tag in list(NETS) + ["decoupled"]:
-        frames = ["--ckpt", f"{tag}.ckpt", "--frames", "binary/seq_00000/frames"]
+    common = ["--max-epochs", "2", "--patience", "2", "--seed", "1"]
+    extra = {"decoupled": ["--mode", "decoupled", "--init-ckpt", "fc-lenet.ckpt"]}
+    for tag, (arch, data) in NETS.items():
+        cmds.append((f"train_{tag}", [
+            "train", "--arch", arch, "--data", f"{data}/manifest.json", "--out", f"{tag}.ckpt",
+            "--log", f"{tag}.csv"] + common + extra.get(tag, [])))
+    cmds.append(("train_batch2", [
+        "train", "--arch", "conv_gru.json", "--data", "binary/manifest.json",
+        "--out", "batch2.ckpt", "--log", "batch2.csv", "--batch-size", "2"] + common))
+    for tag, (_, data) in NETS.items():
+        frames = ["--ckpt", f"{tag}.ckpt", "--frames", f"{data}/seq_00000/frames"]
         cmds += [(f"predict_{tag}", ["predict"] + frames + ["--out", f"masks_{tag}"]),
                  (f"stream_{tag}", ["predict"] + frames + ["--out", f"stream_{tag}",
                                                            "--stream"]),
-                 (f"eval_{tag}", ["eval", "--ckpt", f"{tag}.ckpt", "--data", DATA,
-                                  "--report", f"eval_{tag}.json"])]
+                 (f"eval_{tag}", ["eval", "--ckpt", f"{tag}.ckpt", "--data",
+                                  f"{data}/manifest.json", "--report", f"eval_{tag}.json"])]
+    cmds.append(("eval_per_frame", ["eval", "--ckpt", "rfc-lenet.ckpt", "--data",
+                                    "binary/manifest.json", "--report", "eval_per_frame.json",
+                                    "--per-frame"]))
     cmds += [(f"preset_{name}", ["preset", "--name", name, "--out", f"preset_{name}.json"])
              for name in PRESETS]
     cmds.append(("gradcheck", ["gradcheck", "--seed", "3"]))
