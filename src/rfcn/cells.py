@@ -5,14 +5,15 @@ backward for one unrolled step, from the gradient state at the step's output
 to the gradient state at its input; the caller chains the backwards over a
 window for BPTT and accumulates parameter gradients across steps. CELLS
 describes each kind to the executor in one shape, so model.py never asks
-which kind it runs: the table checks a kind's spec fields, draws its
-initial and random weights, and runs its step and backward.
+which kind it runs: the table checks a kind's spec fields and input, draws
+its initial and random weights, and runs its step and backward.
 
-Every cell is a set of gates plus an elementwise rule. A gate's
-pre-activation is lin(u, W_u) + lin(v, W_v) + b (_gate) over the hidden map
-and the input, where lin is the cell's linear map: a matrix-vector product
-for a dense cell, a stride-1 "same"-padded convolution for a map cell, so
-hidden maps keep their spatial dims. The GRU's rule:
+Every cell runs on CHW maps. A gate's pre-activation is
+conv(u, W_u) + conv(v, W_v) + b (_gate) over the hidden map and the input,
+each conv stride-1 and "same"-padded, so hidden maps keep their spatial
+dims. A dense cell (GRU, LSTM) is such a cell with 1x1 kernels on the
+(D, 1, 1) map a flatten gives: a 1x1 conv on a 1x1 map is a matrix-vector
+product. The GRU's rule:
     z = sigma(W_hz h + W_xz x + b_z)
     r = sigma(W_hr h + W_xr x + b_r)
     hcand = tanh(W_h (r*h) + W_x x + b)
@@ -61,16 +62,7 @@ LstmParams = make_dataclass(
 
 
 # ---------------------------------------------------------------------------
-# The linear maps: lin(v, w) -> (w v, cache) and lin_backward(g, cache, w) ->
-# (w^T g, dL/dw).
-
-
-def _matvec(v, w):
-    return w @ v, v
-
-
-def _matvec_backward(g, v, w):
-    return w.T @ g, np.outer(g, v)
+# The gate: one body for every cell kind
 
 
 def _conv_same(x_chw, w):
@@ -86,90 +78,88 @@ def _conv_same_backward(g_chw, cache, w):
     return gx[0], gw
 
 
-# ---------------------------------------------------------------------------
-# The gate: one body for every cell kind
-
-
-def _gate(lin, p, names, u, v, caches):
-    """A gate's pre-activation lin(u, W_u) + lin(v, W_v) + b, where names =
-    (W_u, W_v, b) are attributes of p; appends the two maps' caches to
+def _gate(p, names, u, v, caches):
+    """A gate's pre-activation conv(u, W_u) + conv(v, W_v) + b, where names =
+    (W_u, W_v, b) are attributes of p; appends the two convs' caches to
     caches. A step applies the gate's activation to the returned array at
     once, so no pre-activation outlives its gate."""
     w_u, w_v, b = (getattr(p, n) for n in names)
-    au, cache_u = lin(u, w_u)
-    av, cache_v = lin(v, w_v)
+    au, cache_u = _conv_same(u, w_u)
+    av, cache_v = _conv_same(v, w_v)
     caches.append((cache_u, cache_v))
-    return au + av + b.reshape(-1, *(1,) * (u.ndim - 1))
+    return au + av + b.reshape(-1, 1, 1)
 
 
-def _gate_backward(lin_backward, p, names, d, cache):
+def _gate_backward(p, names, d, cache):
     """Backward of _gate from d, the gradient at its pre-activation: returns
     (grad_u, grad_v, {name: gradient} for the gate's three parameters)."""
     w_u, w_v, b = names
-    grad_u, gw_u = lin_backward(d, cache[0], getattr(p, w_u))
-    grad_v, gw_v = lin_backward(d, cache[1], getattr(p, w_v))
-    gb = d.copy() if d.ndim == 1 else d.sum(axis=(1, 2))
-    return grad_u, grad_v, {w_u: gw_u, w_v: gw_v, b: gb}
+    grad_u, gw_u = _conv_same_backward(d, cache[0], getattr(p, w_u))
+    grad_v, gw_v = _conv_same_backward(d, cache[1], getattr(p, w_v))
+    return grad_u, grad_v, {w_u: gw_u, w_v: gw_v, b: d.sum(axis=(1, 2))}
 
 
-def _gru_step(x, state, p, lin):
+def _gru_step(x, state, p):
     h = state.h
     if (x.shape[1:] != h.shape[1:] or h.shape[0] != p.w_h.shape[0]
             or x.shape[0] != p.w_x.shape[1]):
         raise ShapeError(f"GRU dims mismatch: x {x.shape}, h {h.shape}")
     gates = []
-    z = sigmoid(_gate(lin, p, GRU_GATES[0], h, x, gates))
-    r = sigmoid(_gate(lin, p, GRU_GATES[1], h, x, gates))
-    hcand = np.tanh(_gate(lin, p, GRU_GATES[2], r * h, x, gates))
+    z = sigmoid(_gate(p, GRU_GATES[0], h, x, gates))
+    r = sigmoid(_gate(p, GRU_GATES[1], h, x, gates))
+    hcand = np.tanh(_gate(p, GRU_GATES[2], r * h, x, gates))
     h_new = (1 - z) * h + z * hcand
     cache = {"h": h, "z": z, "r": r, "hcand": hcand, "gates": gates}
     return RecurrentCellState(h_new), cache
 
 
-def _gru_backward(grad, cache, p, lin_backward):
+def _gru_backward(grad, cache, p):
     h, z, r, hcand, gates = (cache[k] for k in ("h", "z", "r", "hcand", "gates"))
     g = grad.h
     grad_h = g * (1 - z)
-    d_rh, grad_x, grads = _gate_backward(lin_backward, p, GRU_GATES[2],
-                                         g * z * (1 - hcand * hcand), gates[2])
+    d_rh, grad_x, grads = _gate_backward(p, GRU_GATES[2], g * z * (1 - hcand * hcand), gates[2])
     grad_h = grad_h + d_rh * r
     for names, d, gate in zip(GRU_GATES, (g * (hcand - h) * z * (1 - z),
                                           d_rh * h * r * (1 - r)), gates):
-        gh, gx, gw = _gate_backward(lin_backward, p, names, d, gate)
+        gh, gx, gw = _gate_backward(p, names, d, gate)
         grads.update(gw)
         grad_h = grad_h + gh
         grad_x = grad_x + gx
     return grad_x, RecurrentCellState(grad_h), grads
 
 
+# The dense and the conv GRU run one body under two names, which a profiler
+# tells apart.
+
+
 def gru_step(x, state, p):
-    """One dense GRU step; returns (new state, cache for the backward)."""
-    return _gru_step(x, state, p, _matvec)
+    """One dense GRU step on a (D, 1, 1) input; returns (state, cache)."""
+    return _gru_step(x, state, p)
 
 
 def gru_backward(grad, cache, p):
     """Backward through one dense GRU step from the gradient state at its
     output; returns (grad_x, the gradient state at its input, grads dict
     keyed like the params)."""
-    return _gru_backward(grad, cache, p, _matvec_backward)
+    return _gru_backward(grad, cache, p)
 
 
 def conv_gru_step(x, state, p):
     """One Conv-GRU step on a CHW input with a CHW hidden map."""
-    return _gru_step(x, state, p, _conv_same)
+    return _gru_step(x, state, p)
 
 
 def conv_gru_backward(grad, cache, p):
-    return _gru_backward(grad, cache, p, _conv_same_backward)
+    return _gru_backward(grad, cache, p)
 
 
 def lstm_step(x, state, p):
-    """One dense LSTM step over state (h, c)."""
+    """One dense LSTM step on a (D, 1, 1) input over state (h, c)."""
     h, c = state.h, state.c
     gates = []
-    i, f, o = (sigmoid(_gate(_matvec, p, names, x, h, gates)) for names in LSTM_GATES[:3])
+    i, f, o = (sigmoid(_gate(p, names, x, h, gates)) for names in LSTM_GATES[:3])
     cand = sigmoid if p.candidate_activation == "sigmoid" else np.tanh
-    g = cand(_gate(_matvec, p, LSTM_GATES[3], x, h, gates))
+    g = cand(_gate(p, LSTM_GATES[3], x, h, gates))
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     cache = {"c": c, "i": i, "f": f, "o": o, "g": g, "tc": tc, "gates": gates}
@@ -190,7 +180,7 @@ def lstm_backward(grad, cache, p):
     for names, d, gate in zip(LSTM_GATES, (d_c * g * i * (1 - i), d_c * c * f * (1 - f),
                                            grad.h * tc * o * (1 - o), d_ag),
                               cache["gates"]):
-        gx, gh, gw = _gate_backward(_matvec_backward, p, names, d, gate)
+        gx, gh, gw = _gate_backward(p, names, d, gate)
         grads.update(gw)
         grad_h = grad_h + gh
         grad_x = grad_x + gx
@@ -232,22 +222,30 @@ def _gru_init(name, shape, rng, dtype):
 # The cell table
 
 
+def _as_kernels(w):
+    """A dense kind's stored (hidden, d) weights as (hidden, d, 1, 1) views."""
+    return {n: v if n.startswith("b") else v[:, :, None, None] for n, v in w.items()}
+
+
 @dataclass(frozen=True)
 class CellKind:
     """What the executor needs to know about one cell kind.
 
-    input_form is "vec" for a cell on flattened features and "chw" for one
-    on a feature map. bind is (RecurrentSpec, {weight name: array}) ->
-    params; step is (x, state, p) -> (state, cache); backward is
-    (grad_state, cache, p) -> (grad_x, grad_state_prev, grads), where a
-    gradient state carries grad_h in .h and, for the LSTM, grad_c in .c.
-    step and backward look the cell functions above up by name at call
-    time, so rebinding a module attribute (as a tracer does) sees every call.
-    init is (weight name, shape, rng, dtype) -> a fresh model's weight, and
-    candidates lists the candidate activations a spec may choose.
+    Every kind steps on CHW maps. A dense kind runs 1x1 kernels on the
+    (d, 1, 1) map a flatten gives and takes no kernel in its spec; it stores
+    each weight as a (hidden, d) matrix and binds a view of it, so writes
+    into the stored arrays reach the bound ones. bind is (RecurrentSpec, {weight
+    name: array}) -> params; step is (x, state, p) -> (state, cache);
+    backward is (grad_state, cache, p) -> (grad_x, grad_state_prev, grads),
+    where a gradient state carries grad_h in .h and, for the LSTM, grad_c in
+    .c, and each weight's gradient has its bound shape. step and backward
+    look the cell functions above up by name at call time, so rebinding a
+    module attribute (as a tracer does) sees every call. init is (weight
+    name, shape, rng, dtype) -> a fresh model's weight, and candidates lists
+    the candidate activations a spec may choose.
     """
 
-    input_form: str
+    dense: bool
     weight_names: tuple
     bind: object
     step: object
@@ -259,20 +257,28 @@ class CellKind:
     def check(self, spec):
         """Raise ConfigError for a spec field this kind rejects or ignores:
         a map cell needs an odd kernel, a dense cell takes none."""
-        if self.input_form == "chw" and spec.kernel % 2 != 1:
+        if not self.dense and spec.kernel % 2 != 1:
             raise ConfigError(f"{spec.kind} kernel must be odd")
-        if self.input_form != "chw" and spec.kernel:
+        if self.dense and spec.kernel:
             raise ConfigError(f"a {spec.kind} cell takes no kernel, got {spec.kernel}")
         if spec.candidate_activation not in self.candidates:
             raise ConfigError(f"a {spec.kind} cell's candidate activation is one of "
                               f"{self.candidates}, got {spec.candidate_activation!r}")
 
+    def hidden_dims(self, spec, in_dims):
+        """The hidden map's dims for an input map (c, h, w); a dense kind
+        takes only a 1x1 map."""
+        if self.dense and in_dims[1:] != (1, 1):
+            raise ConfigError(f"a {spec.kind} cell needs a (D, 1, 1) input, as a "
+                              f"flatten gives, got {in_dims}")
+        return (spec.hidden,) + in_dims[1:]
+
     def param_shapes(self, spec, in_dims):
-        """Weight shapes for input dims (d,) or (c, h, w): biases (hidden,),
+        """Stored weight shapes for an input map (c, h, w): biases (hidden,),
         hidden-path weights (hidden, hidden) and input-path weights
-        (hidden, d or c), each weight with a trailing (k, k) on a map."""
+        (hidden, c), each weight of a map kind with a trailing (k, k)."""
         h = spec.hidden
-        tail = (spec.kernel, spec.kernel) if self.input_form == "chw" else ()
+        tail = () if self.dense else (spec.kernel, spec.kernel)
         return OrderedDict(
             (n, (h,) if n.startswith("b")
              else (h, h if n.startswith("w_h") else in_dims[0]) + tail)
@@ -290,19 +296,19 @@ class CellKind:
 
 
 CELLS = {
-    GRU: CellKind("vec", GRU_WEIGHT_NAMES,
-                  lambda spec, w: GruParams(**w),
+    GRU: CellKind(True, GRU_WEIGHT_NAMES,
+                  lambda spec, w: GruParams(**_as_kernels(w)),
                   lambda x, state, p: gru_step(x, state, p),
                   lambda g, cache, p: gru_backward(g, cache, p),
                   init=_gru_init),
-    CONV_GRU: CellKind("chw", GRU_WEIGHT_NAMES,
+    CONV_GRU: CellKind(False, GRU_WEIGHT_NAMES,
                        lambda spec, w: GruParams(**w),
                        lambda x, state, p: conv_gru_step(x, state, p),
                        lambda g, cache, p: conv_gru_backward(g, cache, p),
                        init=_gru_init),
-    LSTM: CellKind("vec", LSTM_WEIGHT_NAMES,
+    LSTM: CellKind(True, LSTM_WEIGHT_NAMES,
                    lambda spec, w: LstmParams(
-                       candidate_activation=spec.candidate_activation, **w),
+                       candidate_activation=spec.candidate_activation, **_as_kernels(w)),
                    lambda x, state, p: lstm_step(x, state, p),
                    lambda g, cache, p: lstm_backward(g, cache, p),
                    carries_c=True, candidates=("sigmoid", "tanh")),

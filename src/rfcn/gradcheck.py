@@ -118,9 +118,9 @@ def audit_layers(rng):
 # ---------------------------------------------------------------------------
 # Cell audits (two-step unroll so grad_h_prev chains are exercised)
 
-# Audit sizes by a kind's input form: spec fields and input dims.
-CELL_AUDIT_SIZES = {"vec": ({"hidden": 5}, (4,)),
-                    "chw": ({"hidden": 3, "kernel": 3}, (2, 5, 5))}
+# Audit sizes for a dense kind and a map kind: spec fields and input dims.
+CELL_AUDIT_SIZES = {True: ({"hidden": 5}, (4, 1, 1)),
+                    False: ({"hidden": 3, "kernel": 3}, (2, 5, 5))}
 
 
 def _unroll2(rng, spec, in_dims):
@@ -154,7 +154,7 @@ def audit_cells(rng):
     tagged by the kind, and past its first candidate kind_candidate."""
     out = {}
     for kind, cell in cells.CELLS.items():
-        fields, in_dims = CELL_AUDIT_SIZES[cell.input_form]
+        fields, in_dims = CELL_AUDIT_SIZES[cell.dense]
         for i, candidate in enumerate(cell.candidates):
             spec = RecurrentSpec(kind, candidate_activation=candidate, **fields)
             _prefixed(out, f"{kind}_{candidate}" if i else kind,

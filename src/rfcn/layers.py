@@ -182,7 +182,10 @@ def conv2d_backward(grad_out, cache, k):
     cols, _, _ = _im2col(cache.data["x"], kh, kw, k.stride, k.pad)
     gy = grad_out.reshape(n, f, ho * wo)
     grad_b = gy.sum(axis=(0, 2))
-    grad_w = np.tensordot(gy, cols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
+    # the (f, n*ho*wo) by (n*ho*wo, K) GEMM on views, which for one image
+    # copy nothing: tensordot's layout, without its overhead
+    grad_w = np.dot(gy.transpose(1, 0, 2).reshape(f, -1),
+                    cols.transpose(0, 2, 1).reshape(-1, c * kh * kw)).reshape(f, c, kh, kw)
     w2 = k.weights.reshape(f, c * kh * kw)
     grad_cols = _column_gemm(w2.T, gy)  # the columns are consumed: reuse them
     p = k.pad
@@ -228,7 +231,8 @@ def deconv2d_backward(grad_out, cache, k):
     w2 = k.weights.reshape(f, c * kh * kw)
     grad_x = np.matmul(w2, gcols).reshape(n, f, h, w)
     xf = cache.data["xf"]
-    grad_w = np.tensordot(xf, gcols, axes=([0, 2], [0, 2])).reshape(f, c, kh, kw)
+    grad_w = np.dot(xf.transpose(1, 0, 2).reshape(f, -1),
+                    gcols.transpose(0, 2, 1).reshape(-1, c * kh * kw)).reshape(f, c, kh, kw)
     return grad_x, grad_w, grad_b
 
 
@@ -291,8 +295,8 @@ def relu_backward(grad_out, cache):
 
 
 def flatten(x):
-    """Row-major linearization to rank 1."""
-    return np.ascontiguousarray(x).reshape(-1)
+    """Each image of x (n, c, h, w), row-major, as an (n, c*h*w, 1, 1) map."""
+    return np.ascontiguousarray(x).reshape(len(x), -1, 1, 1)
 
 
 def unflatten(v, shape):

@@ -13,9 +13,11 @@ One forward loop serves all inference and training: a window
 emits its last frame only; a series of windows (forward_windows) runs that
 loop once per window, sharing the pre-chain features of frame objects that
 consecutive windows hold; a stream (forward_stream) carries the state across
-the whole sequence and emits every frame from window-1 on. Layer functions
-are called through this module's attributes, which profilers and the
-gradient audit's kink probe rebind.
+the whole sequence and emits every frame from window-1 on. Every layer and
+the cell take and give CHW maps, the chains with a batch dim of 1; a flatten
+gives the (D, 1, 1) map a dense cell takes. Layer functions are called
+through this module's attributes, which profilers and the gradient audit's
+kink probe rebind.
 """
 
 import io
@@ -199,17 +201,15 @@ class ArchitectureConfig:
 # Shape checking
 
 
-def _layer_output_shape(spec, shape):
-    """shape is ('chw', (c,h,w)) or ('vec', (n,)). Returns the output shape and
-    the layer's parameter shapes keyed by suffix.
+def _layer_output_shape(spec, dims):
+    """The output dims of a layer on a (c, h, w) map, as every layer takes
+    and gives, and the layer's parameter shapes keyed by suffix.
 
-    conv, conv1x1, deconv and pool slide a window over a spatial input: the
-    output dims follow conv_output_dim (deconv_output_dim for a deconv) at the
-    effective stride, with pad 0 for a pool, and must be positive."""
-    kind, dims = shape
+    conv, conv1x1, deconv and pool slide a window over the map: the output
+    dims follow conv_output_dim (deconv_output_dim for a deconv) at the
+    effective stride, with pad 0 for a pool, and must be positive. flatten
+    gives the (c*h*w, 1, 1) map a dense cell takes."""
     if spec.kind in ("conv", "conv1x1", "deconv", "pool"):
-        if kind != "chw":
-            raise ConfigError(f"{spec.kind} needs a spatial input, got {shape}")
         c, h, w = dims
         size = 1 if spec.kind == "conv1x1" else spec.size
         s = spec.effective_stride()
@@ -221,35 +221,25 @@ def _layer_output_shape(spec, shape):
         if ho < 1 or wo < 1:
             raise ConfigError(f"{spec.kind} output dims {ho}x{wo} not positive")
         if spec.kind == "pool":
-            return ("chw", (c, ho, wo)), {}
+            return (c, ho, wo), {}
         io_dims = (c, spec.depth) if spec.kind == "deconv" else (spec.depth, c)
-        return (("chw", (spec.depth, ho, wo)),
-                {"weights": io_dims + (size, size), "bias": (spec.depth,)})
+        return (spec.depth, ho, wo), {"weights": io_dims + (size, size),
+                                      "bias": (spec.depth,)}
     if spec.kind == "relu":
-        return shape, {}
+        return dims, {}
     if spec.kind == "flatten":
-        return ("vec", (math.prod(dims),)), {}
+        return (math.prod(dims), 1, 1), {}
     # unflatten
-    if kind != "vec":
-        raise ConfigError("unflatten needs a vector input")
     target = spec.target_shape
-    if target is None or len(target) != 3 or math.prod(target) != dims[0]:
+    if target is None or len(target) != 3 or math.prod(target) != math.prod(dims):
         raise ConfigError(f"unflatten target {target} is not a (C, H, W) "
-                          f"of the vector's {dims[0]} values")
-    return ("chw", target), {}
-
-
-def _cell_param_shapes(rec, in_shape):
-    cell = cells.CELLS[rec.kind]
-    form, dims = in_shape
-    if form != cell.input_form:
-        raise ConfigError(f"{rec.kind} needs a {cell.input_form!r} input, got {in_shape}")
-    return (form, (rec.hidden,) + dims[1:]), cell.param_shapes(rec, dims)
+                          f"of the map's {math.prod(dims)} values")
+    return target, {}
 
 
 @dataclass
 class ShapeReport:
-    recurrent_input: tuple
+    recurrent_input: tuple  # ("chw", (c, h, w)): the map the cell takes
     output_shape: tuple    # (c, h, w) logits
     param_shapes: OrderedDict  # canonical name -> shape
 
@@ -258,16 +248,16 @@ class ShapeReport:
 MAX_PARAM_ELEMENTS = np.iinfo(np.intp).max // 8
 
 
-def _chain_shapes(section, specs, shape, param_shapes):
-    """Shape-check the pre or post chain from `shape`, recording its parameter
-    shapes; returns the output shape and the shape after each layer."""
+def _chain_shapes(section, specs, dims, param_shapes):
+    """Shape-check the pre or post chain from the map dims, recording its
+    parameter shapes; returns the output dims and the dims after each layer."""
     shapes = []
     for i, spec in enumerate(specs):
-        shape, pshapes = _layer_output_shape(spec, shape)
+        dims, pshapes = _layer_output_shape(spec, dims)
         for suffix, ps in pshapes.items():
             param_shapes[f"{section}.{i}.{spec.kind}.{suffix}"] = ps
-        shapes.append(shape)
-    return shape, shapes
+        shapes.append(dims)
+    return dims, shapes
 
 
 def shape_check(config):
@@ -285,13 +275,13 @@ def shape_check(config):
     if len(config.input_shape) != 3:
         raise ConfigError(f"input_shape must be (C, H, W), got {config.input_shape}")
     param_shapes = OrderedDict()
-    shape, _ = _chain_shapes("pre", config.pre, ("chw", config.input_shape), param_shapes)
-    rec_in = shape
-    if config.recurrent is not None:
-        shape, cshapes = _cell_param_shapes(config.recurrent, shape)
-        for suffix, ps in cshapes.items():
-            param_shapes[f"cell.{suffix}"] = ps
-    shape, post_shapes = _chain_shapes("post", config.post, shape, param_shapes)
+    dims = rec_in = _chain_shapes("pre", config.pre, config.input_shape, param_shapes)[0]
+    rec = config.recurrent
+    if rec is not None:
+        cell = cells.CELLS[rec.kind]
+        dims = cell.hidden_dims(rec, rec_in)
+        param_shapes.update((f"cell.{k}", v) for k, v in cell.param_shapes(rec, rec_in).items())
+    dims, post_shapes = _chain_shapes("post", config.post, dims, param_shapes)
     for j, link in enumerate(config.skip_links):
         if not (0 <= link.source < len(config.post)) or not (0 <= link.target < len(config.post)):
             raise ConfigError(f"skip link {j} indexes outside the post chain")
@@ -300,7 +290,7 @@ def shape_check(config):
         # the score conv maps the source to the target's shape
         target = post_shapes[link.target]
         scored, pshapes = _layer_output_shape(
-            LayerSpec("conv1x1", depth=target[1][0]), post_shapes[link.source])
+            LayerSpec("conv1x1", depth=target[0]), post_shapes[link.source])
         if scored != target:
             raise ConfigError(f"skip link {j} scores to {scored}, not the target's {target}")
         for suffix, ps in pshapes.items():
@@ -309,9 +299,6 @@ def shape_check(config):
         if not 0 < math.prod(ps) <= MAX_PARAM_ELEMENTS:
             raise ConfigError(f"parameter {name} of shape {ps} is empty or has more "
                               f"than {MAX_PARAM_ELEMENTS} elements")
-    kind, dims = shape
-    if kind != "chw":
-        raise ConfigError(f"network output must be a spatial map, got {shape}")
     if dims[0] != config.num_classes:
         raise ConfigError(f"output channels {dims[0]} != num_classes {config.num_classes}")
     if dims[0] > MAX_CLASS_ID + 1:
@@ -320,7 +307,7 @@ def shape_check(config):
     if dims[1:] != config.input_shape[1:]:
         raise ConfigError(
             f"output spatial dims {dims[1:]} != input {config.input_shape[1:]}")
-    return ShapeReport(rec_in, dims, param_shapes)
+    return ShapeReport(("chw", rec_in), dims, param_shapes)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +382,13 @@ def _layer_forward(spec, params, prefix, x):
 
 
 def _add_grad(grads, params, name, g):
-    """Sum g into grads[name] as into zeros of params[name]'s dtype: a
-    parameter's first gradient array becomes its sum (cast if its dtype is
-    another, as float frames in a float32 net give), and later ones are
-    added into it in place. Every backward returns fresh arrays it holds
-    nowhere else, so the sum may take one over."""
+    """Sum g into grads[name] as into zeros of params[name]'s dtype and
+    shape: a parameter's first gradient array becomes its sum (cast if its
+    dtype is another, as float frames in a float32 net give; reshaped from
+    the bound shape of a dense cell's weight), and later ones are added into
+    it in place. Every backward returns fresh arrays it holds nowhere else,
+    so the sum may take one over."""
+    g = g.reshape(params[name].shape)
     if name in grads:
         grads[name] += g
     else:
@@ -509,8 +498,6 @@ def _forward(model, frames, emit_from, cache=None, features=None):
     rec = model.config.recurrent
     if rec is not None:
         cell = cells.CELLS[rec.kind]
-        # spatial pre-chain outputs and post-chain inputs carry a batch dim of 1
-        spatial = cell.input_form == "chw"
         p = model.cell_params()
         state = None
     for t in range(0 if rec else emit_from, len(frames)):
@@ -524,13 +511,13 @@ def _forward(model, frames, emit_from, cache=None, features=None):
             if features is not None:
                 features[id(f)] = (f, x)
         if rec is not None:
-            x = x[0] if spatial else x
+            # the cell steps on the one image of the chains' (1, C, H, W) maps
             if state is None:
-                state = cell.zero_state((rec.hidden,) + x.shape[1:], model.dtype)
-            state, step_cache = cell.step(x, state, p)
+                state = cell.zero_state((rec.hidden,) + x.shape[2:], model.dtype)
+            state, step_cache = cell.step(x[0], state, p)
             if cache is not None:
                 cache.cell.append(step_cache)
-            x = state.h[None] if spatial else state.h
+            x = state.h[None]
         # a suspended generator keeps its locals alive: unbind the caches
         # once stored, so a stream holds none of them across frames
         layer_caches = step_cache = None
@@ -579,15 +566,14 @@ def backward_window(model, grad_logits, cache):
     rec = model.config.recurrent
     if rec is not None:
         cell = cells.CELLS[rec.kind]
-        spatial = cell.input_form == "chw"
         p = model.cell_params()
-        grad = cells.RecurrentCellState(grad_node[0] if spatial else grad_node)
+        grad = cells.RecurrentCellState(grad_node[0])
         feat_grads = []
         for cell_cache in reversed(cache.cell):
             gx, grad, cgrads = cell.backward(grad, cell_cache, p)
             for name, gval in cgrads.items():
                 _add_grad(grads, model.params, f"cell.{name}", gval)
-            feat_grads.insert(0, gx[None] if spatial else gx)
+            feat_grads.insert(0, gx[None])
     for g, pre_caches in zip(feat_grads, cache.pre):
         _chain_backward(model, "pre", g, pre_caches, grads)
     return OrderedDict((k, grads[k]) for k in model.params)

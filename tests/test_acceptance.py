@@ -16,7 +16,7 @@ from rfcn.errors import CheckpointError
 from rfcn.model import (ArchitectureConfig, LayerSpec, PRESET_NAMES,
                         RecurrentSpec, init_model, load_checkpoint,
                         load_matching, preset, save_checkpoint, shape_check)
-from rfcn.tensor import Rng
+from rfcn.tensor import Rng, sigmoid
 from rfcn.training import AdadeltaState, TrainConfig, adadelta_step, evaluate, train
 from tests.test_layers import (conv2d_oracle, deconv2d_oracle,
                                random_conv_case, tiling_conv_case)
@@ -47,24 +47,26 @@ def test_acceptance_1_gradient_audit():
 
 
 def test_acceptance_2_conv_gru_degenerates_to_dense():
-    """Conv-GRU with 1x1 kernels on 1x1 maps == dense GRU step for step,
-    |delta| <= 1e-12 at f64 over 10 random steps."""
+    """Conv-GRU with 1x1 kernels on 1x1 maps == dense GRU (its gate
+    equations as matrix-vector products) step for step, |delta| <= 1e-12 at
+    f64 over 10 random steps."""
     rng = Rng(7)
     hidden, cin = 6, 4
     w = cells.CELLS["gru"].random_params(RecurrentSpec("gru", hidden=hidden), (cin,),
                                          rng, np.float64)
-    dp = cells.GruParams(**w)
     cp = cells.GruParams(**{
         k: (v.reshape(v.shape + (1, 1)) if v.ndim == 2 else v.copy())
         for k, v in w.items()})
-    sd = cells.RecurrentCellState(np.zeros(hidden))
+    hd = np.zeros(hidden)
     sc = cells.RecurrentCellState(np.zeros((hidden, 1, 1)))
     worst = 0.0
     for _ in range(10):
         x = rng.uniform(-1, 1, cin)
-        sd, _ = cells.gru_step(x, sd, dp)
+        z = sigmoid(w["w_hz"] @ hd + w["w_xz"] @ x + w["b_z"])
+        r = sigmoid(w["w_hr"] @ hd + w["w_xr"] @ x + w["b_r"])
+        hd = (1 - z) * hd + z * np.tanh(w["w_h"] @ (r * hd) + w["w_x"] @ x + w["b"])
         sc, _ = cells.conv_gru_step(x.reshape(cin, 1, 1), sc, cp)
-        worst = max(worst, float(np.abs(sc.h[:, 0, 0] - sd.h).max()))
+        worst = max(worst, float(np.abs(sc.h[:, 0, 0] - hd).max()))
     assert worst <= 1e-12
     print(f"\nACCEPTANCE 2 PASS: 10 steps, max |delta| {worst:.2e} <= 1e-12")
 
@@ -413,7 +415,7 @@ def test_acceptance_10_preset_shape_conformance():
     assert sizes["rfc-12s"] == (120, 180)
     assert sizes["rfc-vgg"] == (240, 360)
     report = shape_check(preset("rfc-lenet"))
-    assert report.recurrent_input == ("vec", (784,))
+    assert report.recurrent_input == ("chw", (784, 1, 1))
     assert report.param_shapes["cell.w_h"] == (784, 784)
     print(f"\nACCEPTANCE 10 PASS: {len(PRESET_NAMES)} presets shape-check "
           f"(28x28 / 120x180 / 240x360); rfc-lenet GRU is 784x784")

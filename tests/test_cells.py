@@ -1,5 +1,5 @@
-"""Recurrent cell tests: gate-equation oracles, the conv/dense GRU
-degeneracy, and the cell table."""
+"""Recurrent cell tests: gate-equation oracles, the dense GRU as a conv-GRU
+on 1x1 maps, and the cell table."""
 
 import numpy as np
 import numpy.testing as npt
@@ -11,12 +11,35 @@ from rfcn.model import RecurrentSpec
 from rfcn.tensor import Rng, sigmoid
 
 
+def mat(w):
+    """A dense cell's bound (hidden, d, 1, 1) kernel as its (hidden, d) matrix."""
+    return w[:, :, 0, 0]
+
+
 def gru_oracle(x, h, p):
-    """Gate equations written out directly."""
-    z = sigmoid(p.w_hz @ h + p.w_xz @ x + p.b_z)
-    r = sigmoid(p.w_hr @ h + p.w_xr @ x + p.b_r)
-    hc = np.tanh(p.w_h @ (r * h) + p.w_x @ x + p.b)
+    """Gate equations written out directly, on vectors."""
+    z = sigmoid(mat(p.w_hz) @ h + mat(p.w_xz) @ x + p.b_z)
+    r = sigmoid(mat(p.w_hr) @ h + mat(p.w_xr) @ x + p.b_r)
+    hc = np.tanh(mat(p.w_h) @ (r * h) + mat(p.w_x) @ x + p.b)
     return (1 - z) * h + z * hc
+
+
+def gru_oracle_backward(g, x, h, p):
+    """The step's gradients at x, h and every weight from the gradient g at
+    its output, derived by hand from the gate equations, on vectors."""
+    z = sigmoid(mat(p.w_hz) @ h + mat(p.w_xz) @ x + p.b_z)
+    r = sigmoid(mat(p.w_hr) @ h + mat(p.w_xr) @ x + p.b_r)
+    hc = np.tanh(mat(p.w_h) @ (r * h) + mat(p.w_x) @ x + p.b)
+    d_c = g * z * (1 - hc * hc)
+    d_z = g * (hc - h) * z * (1 - z)
+    d_rh = mat(p.w_h).T @ d_c
+    d_r = d_rh * h * r * (1 - r)
+    gx = mat(p.w_x).T @ d_c + mat(p.w_xz).T @ d_z + mat(p.w_xr).T @ d_r
+    gh = g * (1 - z) + d_rh * r + mat(p.w_hz).T @ d_z + mat(p.w_hr).T @ d_r
+    gw = {"w_hz": np.outer(d_z, h), "w_xz": np.outer(d_z, x), "b_z": d_z,
+          "w_hr": np.outer(d_r, h), "w_xr": np.outer(d_r, x), "b_r": d_r,
+          "w_h": np.outer(d_c, r * h), "w_x": np.outer(d_c, x), "b": d_c}
+    return gx, gh, gw
 
 
 def random_params(spec, in_dims, rng):
@@ -28,46 +51,47 @@ def random_params(spec, in_dims, rng):
 def test_gru_step_matches_gate_equations():
     rng = Rng(200)
     for _ in range(10):
-        p = random_params(RecurrentSpec("gru", hidden=6), (4,), rng)
-        x = rng.uniform(-1, 1, 4)
-        h = rng.uniform(-1, 1, 6)
+        p = random_params(RecurrentSpec("gru", hidden=6), (4, 1, 1), rng)
+        x = rng.uniform(-1, 1, (4, 1, 1))
+        h = rng.uniform(-1, 1, (6, 1, 1))
         state, _ = cells.gru_step(x, cells.RecurrentCellState(h), p)
-        npt.assert_allclose(state.h, gru_oracle(x, h, p), atol=1e-14)
+        npt.assert_allclose(state.h[:, 0, 0], gru_oracle(x[:, 0, 0], h[:, 0, 0], p),
+                            atol=1e-14)
 
 
 def test_gru_rejects_mismatched_dims():
     rng = Rng(202)
-    p = random_params(RecurrentSpec("gru", hidden=3), (2,), rng)
+    p = random_params(RecurrentSpec("gru", hidden=3), (2, 1, 1), rng)
     with pytest.raises(ShapeError):
-        cells.gru_step(np.zeros(5), cells.RecurrentCellState(np.zeros(3)), p)
+        cells.gru_step(np.zeros((5, 1, 1)), cells.RecurrentCellState(np.zeros((3, 1, 1))), p)
 
 
 def test_conv_gru_1x1_degenerates_to_dense_gru():
-    """On 1x1 spatial maps with 1x1 kernels, the convolutional GRU is the
-    dense GRU exactly: |difference| <= 1e-12 over 10 chained random steps,
-    in the step and in its backward (input, hidden and weight gradients)."""
+    """The dense GRU is the conv-GRU on 1x1 maps: its kind binds each stored
+    (hidden, d) weight as a (hidden, d, 1, 1) view of it, and its step and
+    backward on (d, 1, 1) maps match the gate equations written as
+    matrix-vector products, |difference| <= 1e-12 over 10 chained random
+    steps (input, hidden and weight gradients)."""
     rng = Rng(203)
     hidden, cin = 5, 3
-    w = cells.CELLS["gru"].random_params(RecurrentSpec("gru", hidden=hidden), (cin,),
-                                         rng, np.float64)
-    dp = cells.GruParams(**w)
-    cp = cells.GruParams(**{k: (v.reshape(v.shape + (1, 1)) if v.ndim == 2
-                                else v.copy()) for k, v in w.items()})
+    spec = RecurrentSpec("gru", hidden=hidden)
+    w = cells.CELLS["gru"].random_params(spec, (cin, 1, 1), rng, np.float64)
+    p = cells.CELLS["gru"].bind(spec, w)
+    assert all(np.shares_memory(getattr(p, k), v) for k, v in w.items())
     hd = rng.uniform(-1, 1, hidden)
-    sd = cells.RecurrentCellState(hd)
     sc = cells.RecurrentCellState(hd.reshape(hidden, 1, 1).copy())
     for _ in range(10):
         x = rng.uniform(-1, 1, cin)
-        sd, cache_d = cells.gru_step(x, sd, dp)
-        sc, cache_c = cells.conv_gru_step(x.reshape(cin, 1, 1), sc, cp)
-        assert np.abs(sc.h[:, 0, 0] - sd.h).max() <= 1e-12
+        h = sc.h[:, 0, 0]
+        sc, cache = cells.gru_step(x.reshape(cin, 1, 1), sc, p)
+        assert np.abs(sc.h[:, 0, 0] - gru_oracle(x, h, p)).max() <= 1e-12
         g = rng.uniform(-1, 1, hidden)
-        gxd, ghd, gwd = cells.gru_backward(cells.RecurrentCellState(g), cache_d, dp)
-        gxc, ghc, gwc = cells.conv_gru_backward(
-            cells.RecurrentCellState(g.reshape(hidden, 1, 1)), cache_c, cp)
+        gxc, ghc, gwc = cells.gru_backward(
+            cells.RecurrentCellState(g.reshape(hidden, 1, 1)), cache, p)
+        gxd, ghd, gwd = gru_oracle_backward(g, x, h, p)
         assert np.abs(gxc.reshape(-1) - gxd).max() <= 1e-12
-        assert np.abs(ghc.h.reshape(-1) - ghd.h).max() <= 1e-12
-        assert list(gwc) == list(gwd)
+        assert np.abs(ghc.h.reshape(-1) - ghd).max() <= 1e-12
+        assert sorted(gwc) == sorted(gwd)
         for k in gwd:
             assert np.abs(gwc[k].reshape(gwd[k].shape) - gwd[k]).max() <= 1e-12, k
 
@@ -90,19 +114,20 @@ def test_lstm_step_matches_gate_equations():
     rng = Rng(206)
     for act in ("sigmoid", "tanh"):
         p = random_params(RecurrentSpec("lstm", hidden=5, candidate_activation=act),
-                          (3,), rng)
+                          (3, 1, 1), rng)
         x = rng.uniform(-1, 1, 3)
         h = rng.uniform(-1, 1, 5)
         c = rng.uniform(-1, 1, 5)
-        s, _ = cells.lstm_step(x, cells.RecurrentCellState(h, c=c), p)
-        i = sigmoid(p.w_xi @ x + p.w_hi @ h + p.b_i)
-        f = sigmoid(p.w_xf @ x + p.w_hf @ h + p.b_f)
-        o = sigmoid(p.w_xo @ x + p.w_ho @ h + p.b_o)
-        a = p.w_xc @ x + p.w_hc @ h + p.b_c
+        s, _ = cells.lstm_step(x.reshape(3, 1, 1), cells.RecurrentCellState(
+            h.reshape(5, 1, 1), c=c.reshape(5, 1, 1)), p)
+        i = sigmoid(mat(p.w_xi) @ x + mat(p.w_hi) @ h + p.b_i)
+        f = sigmoid(mat(p.w_xf) @ x + mat(p.w_hf) @ h + p.b_f)
+        o = sigmoid(mat(p.w_xo) @ x + mat(p.w_ho) @ h + p.b_o)
+        a = mat(p.w_xc) @ x + mat(p.w_hc) @ h + p.b_c
         g = sigmoid(a) if act == "sigmoid" else np.tanh(a)
         c_new = f * c + i * g
-        npt.assert_allclose(s.c, c_new, atol=1e-14)
-        npt.assert_allclose(s.h, o * np.tanh(c_new), atol=1e-14)
+        npt.assert_allclose(s.c[:, 0, 0], c_new, atol=1e-14)
+        npt.assert_allclose(s.h[:, 0, 0], o * np.tanh(c_new), atol=1e-14)
 
 
 def test_cell_table_binds_the_lstm_candidate_activation():
@@ -151,23 +176,23 @@ def test_gru_backward_consistent_with_finite_difference():
     """Spot-check one analytic gradient against central differences here;
     the exhaustive audit lives in the gradcheck module."""
     rng = Rng(209)
-    p = random_params(RecurrentSpec("gru", hidden=4), (3,), rng)
-    x = rng.uniform(-1, 1, 3)
-    h0 = rng.uniform(-0.5, 0.5, 4)
-    wout = rng.uniform(-1, 1, 4)
+    p = random_params(RecurrentSpec("gru", hidden=4), (3, 1, 1), rng)
+    x = rng.uniform(-1, 1, (3, 1, 1))
+    h0 = rng.uniform(-0.5, 0.5, (4, 1, 1))
+    wout = rng.uniform(-1, 1, (4, 1, 1))
 
     def loss():
         s, _ = cells.gru_step(x, cells.RecurrentCellState(h0), p)
-        return float(s.h @ wout)
+        return float((s.h * wout).sum())
 
     _, cache = cells.gru_step(x, cells.RecurrentCellState(h0), p)
     gx, gh, grads = cells.gru_backward(cells.RecurrentCellState(wout), cache, p)
     eps = 1e-6
     for i in range(3):
-        orig = x[i]
-        x[i] = orig + eps
+        orig = x[i, 0, 0]
+        x[i, 0, 0] = orig + eps
         fp = loss()
-        x[i] = orig - eps
+        x[i, 0, 0] = orig - eps
         fm = loss()
-        x[i] = orig
-        npt.assert_allclose(gx[i], (fp - fm) / (2 * eps), rtol=1e-5, atol=1e-8)
+        x[i, 0, 0] = orig
+        npt.assert_allclose(gx[i, 0, 0], (fp - fm) / (2 * eps), rtol=1e-5, atol=1e-8)

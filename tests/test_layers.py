@@ -339,10 +339,10 @@ def test_relu_forward_backward():
 
 def test_flatten_unflatten_roundtrip():
     rng = Rng(108)
-    x = rng.uniform(-1, 1, (2, 3, 4))
+    x = rng.uniform(-1, 1, (2, 3, 4, 5))
     v = flatten(x)
-    assert v.shape == (24,)
-    npt.assert_array_equal(unflatten(v, (2, 3, 4)), x)
+    assert v.shape == (2, 60, 1, 1)
+    npt.assert_array_equal(unflatten(v, (2, 3, 4, 5)), x)
     with pytest.raises(ShapeError):
         unflatten(v, (5, 5))
 

@@ -80,8 +80,19 @@ def test_every_preset_architecture_is_pinned():
 
 def test_rfc_lenet_recurrent_vector_is_784():
     report = shape_check(preset("rfc-lenet"))
-    assert report.recurrent_input == ("vec", (784,))
+    assert report.recurrent_input == ("chw", (784, 1, 1))
     assert report.param_shapes["cell.w_h"] == (784, 784)
+
+
+def test_shape_check_rejects_a_dense_cell_on_a_spatial_map():
+    """A dense cell takes only the (D, 1, 1) map a flatten gives: without the
+    flatten it sits on the trunk's (3, 8, 8) map, and the error names it."""
+    for kind in ("gru", "lstm"):
+        cfg = small_config(kind=kind)
+        shape_check(cfg)
+        cfg.pre = cfg.pre[:-1]
+        with pytest.raises(ConfigError, match=rf"a {kind} cell needs a \(D, 1, 1\) input"):
+            shape_check(cfg)
 
 
 def test_shape_check_rejects_wrong_output_channels():
@@ -181,7 +192,7 @@ def cell_specs(draw):
     """A recurrent spec its kind accepts, any field of it off its default."""
     kind = draw(st.sampled_from(sorted(cells.CELLS)))
     cell = cells.CELLS[kind]
-    kernel = draw(st.sampled_from((1, 3, 5))) if cell.input_form == "chw" else 0
+    kernel = 0 if cell.dense else draw(st.sampled_from((1, 3, 5)))
     return RecurrentSpec(kind, hidden=draw(st.integers(1, 9)), kernel=kernel,
                          candidate_activation=draw(st.sampled_from(cell.candidates)))
 
@@ -231,13 +242,13 @@ def test_the_shape_rule_agrees_with_the_layers(case):
     shape and one gradient of each reported parameter shape."""
     spec, dims = case
     try:
-        (form, out), pshapes = _layer_output_shape(spec, ("chw", dims))
+        out, pshapes = _layer_output_shape(spec, dims)
     except ConfigError:
         reject()
     params = {f"l.{k}": np.zeros(v, np.float32) for k, v in pshapes.items()}
     x = np.zeros((1,) + dims, np.float32)
     y, cache = _layer_forward(spec, params, "l", x)
-    assert form == "chw" and y.shape == (1,) + out
+    assert y.shape == (1,) + out
     grads = {}
     assert _layer_backward(spec, params, "l", np.zeros_like(y), cache, grads).shape == x.shape
     assert {k: g.shape for k, g in grads.items()} == {k: v.shape for k, v in params.items()}
