@@ -251,9 +251,9 @@ def _kink_clearance(model, frames):
     real_relu = model_mod.relu_forward
     real_pool = model_mod.maxpool2d_forward
 
-    def relu_probe(x):
+    def relu_probe(x, out=None):
         clearance[0] = min(clearance[0], float(np.abs(x).min()))
-        y, cache = real_relu(x)
+        y, cache = real_relu(x, out=out)
         relu_out[0] = y
         return y, cache
 
@@ -271,7 +271,7 @@ def _kink_clearance(model, frames):
     model_mod.relu_forward = relu_probe
     model_mod.maxpool2d_forward = pool_probe
     try:
-        forward_window(model, frames)
+        forward_window(model, frames, cache=False)
     finally:
         model_mod.relu_forward = real_relu
         model_mod.maxpool2d_forward = real_pool

@@ -14,13 +14,17 @@ of the columns instead of a loop over kernel offsets.
 Forward passes do only forward work. Conv caches its unpadded input, deconv
 its input, relu its output, and conv2d_backward rebuilds the padded
 im2col columns from the input. Max-pool keeps its input and output; its
-backward finds each window's first maximum again by comparing them.
+backward finds each window's first maximum again by comparing them. Relu
+writes into out when given one: relu_forward(x, out=x) overwrites an input
+that its caller owns and no one else reads.
 
 Column-space temporaries (the zero-padded input, the im2col columns, the
 column GEMM products that col2im scatters) live in a
 private per-thread workspace of grow-only buffers, so steady-state calls
 reuse the same memory instead of faulting in fresh pages. A forward pass
-allocates only what it returns or caches.
+allocates only what it returns or caches. For a "same" conv (stride 1, a
+square odd kernel, pad (k-1)/2) the padded slot holds the flat-padded
+image that its columns are copied from in one pass (_im2col_same).
 """
 
 import math
@@ -98,12 +102,15 @@ def _im2col(x, kh, kw, stride, pad):
     """(n, c, h, w) -> (n, c*kh*kw, ho*wo) patch matrix of x zero-padded by
     pad, in the workspace. The padding is fused into the copy: x goes into
     the interior of a workspace image whose border strips are zeroed. A 1x1,
-    stride-1, unpadded conv reads a contiguous x in place."""
+    stride-1, unpadded conv reads a contiguous x in place; a "same" conv
+    takes _im2col_same."""
     n, c, h, w = x.shape
     ho = conv_output_dim(h, kh, stride, pad)
     wo = conv_output_dim(w, kw, stride, pad)
     if kh == kw == stride == 1 and pad == 0:
         return np.ascontiguousarray(x).reshape(n, c, h * w), ho, wo
+    if kh == kw == 2 * pad + 1 and stride == 1:
+        return _im2col_same(x, pad), ho, wo
     if pad:
         xp = _workspace.get("padded", (n, c, h + 2 * pad, w + 2 * pad), x.dtype)
         xp[:, :, :pad] = 0
@@ -118,6 +125,34 @@ def _im2col(x, kh, kw, stride, pad):
     cols = _workspace.get("cols", windows.shape, x.dtype)
     np.copyto(cols, windows)
     return cols.reshape(n, c * kh * kw, ho * wo), ho, wo
+
+
+def _im2col_same(x, p):
+    """The columns of a stride-1, k x k conv with k = 2p + 1, whose output
+    has the input's size, as one copy whose inner run is a whole h*w map.
+
+    Each channel's pixels, flattened, sit in the workspace's padded slot
+    between p*w + p zeros on either side, so tap (i, j) of output pixel q
+    reads flat index q + i*w + j. A row above or below the image lands in
+    those zeros; a column left or right of it wraps to the neighbouring row
+    instead, so the |j - p| output columns at that edge of each tap column
+    j != p are zeroed after the copy."""
+    n, c, h, w = x.shape
+    k, hw, lead = 2 * p + 1, h * w, p * w + p
+    flat = _workspace.get("padded", (n, c, hw + 2 * lead), x.dtype)
+    flat[:, :, :lead] = 0
+    flat[:, :, lead + hw:] = 0
+    flat[:, :, lead:lead + hw] = x.reshape(n, c, hw)
+    sn, sc, s = flat.strides
+    windows = np.lib.stride_tricks.as_strided(
+        flat, (n, c, k, k, hw), (sn, sc, w * s, s, s))
+    cols = _workspace.get("cols", windows.shape, x.dtype)
+    np.copyto(cols, windows)
+    grid = cols.reshape(n, c, k, k, h, w)
+    for j in range(p):
+        grid[:, :, :, j, :, :p - j] = 0
+        grid[:, :, :, k - 1 - j, :, max(w - p + j, 0):] = 0
+    return cols.reshape(n, c * k * k, hw)
 
 
 def _col2im(cols, x, kh, kw, stride):
@@ -282,8 +317,10 @@ def maxpool2d_backward(grad_out, cache):
     return grad_x
 
 
-def relu_forward(x):
-    y = np.maximum(x, 0)
+def relu_forward(x, out=None):
+    """max(x, 0), into out if given: out=x overwrites an input that no one
+    else reads."""
+    y = np.maximum(x, 0, out=out)
     return y, LayerActivationCache(x.shape, {"y": y})
 
 

@@ -18,6 +18,13 @@ the cell take and give CHW maps, the chains with a batch dim of 1; a flatten
 gives the (D, 1, 1) map a dense cell takes. Layer functions are called
 through this module's attributes, which profilers and the gradient audit's
 kink probe rebind.
+
+Only a window run for BPTT keeps caches: forward_window(..., cache=False),
+as predict calls it, and the other entry points drop each layer's cache as
+soon as the next layer has run. A relu overwrites its input when that is
+the fresh output of the conv, conv1x1 or deconv before it in the chain and
+no skip link reads it; it never overwrites a chain's input, which is the
+caller's frame or the cell state.
 """
 
 import io
@@ -366,15 +373,21 @@ def _kernel(spec, params, prefix):
                       spec.effective_stride(), spec.pad)
 
 
-def _layer_forward(spec, params, prefix, x):
+# Layers whose output is a fresh array no cache of theirs holds.
+_FRESH_OUTPUT = ("conv", "conv1x1", "deconv")
+
+
+def _layer_forward(spec, params, prefix, x, owned=False):
+    """One layer on x; owned says no one else reads x, so a relu may
+    overwrite it."""
     kind = spec.kind
-    if kind in ("conv", "conv1x1", "deconv"):
+    if kind in _FRESH_OUTPUT:
         forward = deconv2d_forward if kind == "deconv" else conv2d_forward
         return forward(x, _kernel(spec, params, prefix))
     if kind == "pool":
         return maxpool2d_forward(x, spec.size, spec.effective_stride())
     if kind == "relu":
-        return relu_forward(x)
+        return relu_forward(x, out=x if owned else None)
     if kind == "flatten":
         return flatten(x), x.shape
     # unflatten
@@ -421,11 +434,17 @@ def _skips_into(model, section, i):
 
 def _chain_forward(model, section, x, skip_caches=None):
     """Run the pre or post chain on x; returns (output, per-layer caches).
-    Each skip link's score-conv cache goes into skip_caches by link index."""
+    Each skip link's score-conv cache goes into skip_caches by link index.
+    A layer owns its input when the previous layer of the chain made it
+    fresh and no skip link reads it; the chain's own input (the caller's
+    frame or the cell state) is never owned."""
     specs = getattr(model.config, section)
+    sources = {link.source for link in model.config.skip_links} if section == "post" else ()
     caches, outputs = [], []
     for i, spec in enumerate(specs):
-        x, cache = _layer_forward(spec, model.params, f"{section}.{i}.{spec.kind}", x)
+        owned = i > 0 and specs[i - 1].kind in _FRESH_OUTPUT and i - 1 not in sources
+        x, cache = _layer_forward(spec, model.params, f"{section}.{i}.{spec.kind}", x,
+                                  owned)
         for j, link in _skips_into(model, section, i):
             scored, skip_caches[j] = _layer_forward(
                 LayerSpec("conv1x1"), model.params, f"skip.{j}.score",
@@ -531,9 +550,11 @@ def _forward(model, frames, emit_from, cache=None, features=None):
             yield t, check_finite(x[0], f"logits of frame {t}")
 
 
-def forward_window(model, frames):
-    """Run T frames through the network; returns (logits (C,H,W), WindowCache)."""
-    cache = WindowCache(pre=[], cell=[], post=[], skip={})
+def forward_window(model, frames, cache=True):
+    """Run T frames through the network; returns (logits (C,H,W), WindowCache)
+    for backward_window. With cache=False nothing is kept for a backward
+    pass and the cache returned is None; the logits are the same bits."""
+    cache = WindowCache(pre=[], cell=[], post=[], skip={}) if cache else None
     ((_, logits),) = _forward(model, frames, len(frames) - 1, cache)
     return logits, cache
 

@@ -217,7 +217,7 @@ def logits_to_mask(model, logits, threshold=0.5):
 
 def predict(model, frames):
     """Segment the last frame of a window."""
-    logits, _ = forward_window(model, frames)
+    logits, _ = forward_window(model, frames, cache=False)
     return logits_to_mask(model, logits)
 
 

@@ -1,6 +1,7 @@
 """Layer tests: nested-loop convolution oracles, adjointness, pooling,
 property tests over random geometry, and the scratch workspace's contract."""
 
+import itertools
 import sys
 import threading
 
@@ -385,11 +386,11 @@ def im2col_loop(x, kh, kw, stride, pad):
     return cols.reshape(n, c * kh * kw, ho * wo)
 
 
-def conv_exact_oracle(x, w, b, stride, pad, g):
+def conv_exact_oracle(x, w, b, stride, pad, g, im2col=im2col_loop):
     """(y, grad_x, grad_w, grad_b) of a conv with upstream gradient g."""
     f, c, kh, kw = w.shape
     n, _, h, wd = x.shape
-    cols = im2col_loop(x, kh, kw, stride, pad)
+    cols = im2col(x, kh, kw, stride, pad)
     w2 = w.reshape(f, c * kh * kw)
     y = np.matmul(w2, cols).reshape(g.shape) + b.reshape(1, f, 1, 1)
     gy = g.reshape(n, f, -1)
@@ -488,6 +489,45 @@ def test_conv_backward_input_is_deconv_forward_over_random_geometry(geom):
     assert np.array_equal(gx[:, :, :hd, :wdd], via_deconv)
     if (h + 2 * pad - kh) % stride == 0 and (wd + 2 * pad - kw) % stride == 0:
         assert via_deconv.shape == x.shape
+
+
+def same_cols_loop(x, kh, kw, stride, pad):
+    """The columns of a stride-1 conv whose output is its input's size, one
+    output pixel and tap at a time: +0.0 wherever the tap leaves the image."""
+    n, c, h, w = x.shape
+    cols = np.zeros((n, c, kh, kw, h, w), dtype=x.dtype)
+    for i, j, r, q in itertools.product(range(kh), range(kw), range(h), range(w)):
+        if 0 <= r + i - pad < h and 0 <= q + j - pad < w:
+            cols[:, :, i, j, r, q] = x[:, :, r + i - pad, q + j - pad]
+    return cols.reshape(n, c * kh * kw, h * w)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("k", (3, 5, 7))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_same_conv_columns_and_gradients_match_a_pixel_loop_bitwise(k, dtype):
+    """Stride 1, a k x k kernel and pad (k-1)/2 take the flat-padded im2col:
+    its columns, and the conv's output and gradients built on them, are
+    those of a loop over pixels, signed zeros included, on maps smaller than
+    the kernel as well as larger ones."""
+    p = k // 2
+    for n, (h, w) in itertools.product((1, 2), ((1, 1), (2, 3), (3, 7), (7, 2), (6, 9))):
+        x, wt, b, g = _draw_arrays(k * 100 + h * 10 + w, dtype, (n, 3, h, w),
+                                   (2, 3, k, k), 2, (n, 2, h, w))
+        for a in (x, wt, g):
+            a[a < -0.6] = -0.0
+        cols, ho, wo = layers._im2col(x, k, k, 1, p)
+        assert (ho, wo) == (h, w)
+        assert _same_bits(cols, same_cols_loop(x, k, k, 1, p)), (n, h, w)
+        kern = ConvKernel(wt, b, 1, p)
+        y, cache = conv2d_forward(x, kern)
+        got = (y,) + conv2d_backward(g, cache, kern)
+        want = conv_exact_oracle(x, wt, b, 1, p, g, im2col=same_cols_loop)
+        for name, a, e in zip(("y", "grad_x", "grad_w", "grad_b"), got, want):
+            assert a.dtype == dtype and _same_bits(a, e), (name, n, h, w)
 
 
 # ---------------------------------------------------------------------------

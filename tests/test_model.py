@@ -488,6 +488,50 @@ def test_layer_calls_go_through_model_attributes(monkeypatch):
                       for half in ("forward", "backward")}
 
 
+def test_relu_overwrites_only_a_fresh_conv_output_no_one_else_reads(monkeypatch):
+    """A relu just after a conv, conv1x1 or deconv that no skip link reads
+    runs in place; one first in the pre chain (on the caller's float
+    frames), after a pool (whose cache holds its output) or after a conv a
+    skip link reads keeps its input. The logits and gradients are those of
+    a run whose relus are all pure, bit for bit."""
+    import rfcn.model as model_mod
+    cfg = ArchitectureConfig(
+        name="relu-rule", input_shape=(2, 8, 8), num_classes=1, window=2,
+        pre=[LayerSpec("relu"), LayerSpec("conv", size=3, pad=1, depth=3), LayerSpec("relu"),
+             LayerSpec("conv", size=3, pad=1, depth=3), LayerSpec("pool", size=2),
+             LayerSpec("relu")],
+        recurrent=RecurrentSpec("conv_gru", hidden=3, kernel=3),
+        post=[LayerSpec("conv", size=3, pad=1, depth=3), LayerSpec("relu"),
+              LayerSpec("conv1x1", depth=2), LayerSpec("relu"),
+              LayerSpec("deconv", size=2, stride=2, depth=1), LayerSpec("relu")],
+        skip_links=[SkipLink(source=0, target=2)])
+    m = init_model(cfg, Rng(30))
+    rng = Rng(31)
+    frames = [rng.uniform(-1, 1, cfg.input_shape) for _ in range(cfg.window)]
+    kept = [f.copy() for f in frames]
+    real = model_mod.relu_forward
+    in_place = []
+
+    def spy(x, out=None):
+        in_place.append(out is not None)
+        return real(x, out=out)
+
+    def run():
+        logits, cache = forward_window(m, frames)
+        return [logits] + list(backward_window(m, np.ones_like(logits), cache).values())
+
+    monkeypatch.setattr(model_mod, "relu_forward", spy)
+    got = run()
+    # per frame: the pre chain's three relus; then the post chain's three.
+    # The relu after the pool is pinned here: overwriting the pool's cached
+    # output would change no bit today, as the relu zeroes those gradients
+    assert in_place == [False, True, False] * cfg.window + [False, True, True]
+    monkeypatch.setattr(model_mod, "relu_forward", lambda x, out=None: real(x))
+    want = run()
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert all(np.array_equal(f, k) for f, k in zip(frames, kept))
+
+
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     m = init_model(small_config(), Rng(10))
     path = str(tmp_path / "m.ckpt")

@@ -10,8 +10,8 @@ import pytest
 from rfcn import data as D
 from rfcn import metrics
 from rfcn.errors import ConfigError, DataError, DivergenceError, ShapeError
-from rfcn.model import (ArchitectureConfig, LayerSpec, RecurrentSpec,
-                        init_model)
+from rfcn.model import (PRESET_NAMES, ArchitectureConfig, LayerSpec, RecurrentSpec,
+                        forward_window, init_model, preset)
 from rfcn.tensor import Rng, sigmoid
 from rfcn.training import (CHUNK, AdadeltaState, TrainConfig, TrainLog,
                            adadelta_step, binary_target, evaluate,
@@ -477,3 +477,25 @@ def test_evaluate_runs_each_frames_trunk_once(monkeypatch):
     calls.clear()
     predict(m, samples[0].frames)
     assert len(calls) == window
+
+
+def test_predict_keeps_no_window_cache(monkeypatch):
+    """predict runs the window without a WindowCache, and its mask is the
+    one of forward_window's logits, on every preset."""
+    import rfcn.model as model_mod
+    real = model_mod.WindowCache
+
+    def refuse(**_):
+        raise AssertionError("predict built a WindowCache")
+
+    for name in PRESET_NAMES:
+        cfg = preset(name)
+        m = init_model(cfg, Rng(520))
+        rng = np.random.default_rng(521)
+        frames = [rng.integers(0, 256, cfg.input_shape, dtype=D.FRAME_DTYPE)
+                  for _ in range(cfg.window)]
+        monkeypatch.setattr(model_mod, "WindowCache", refuse)
+        mask = predict(m, frames)
+        monkeypatch.setattr(model_mod, "WindowCache", real)
+        want = logits_to_mask(m, forward_window(m, frames)[0])
+        assert mask.dtype == want.dtype and np.array_equal(mask, want), name

@@ -10,10 +10,11 @@ OPENBLAS_NUM_THREADS=1 and PYTHONDONTWRITEBYTECODE=1). The list:
 - gen-data: a binary set, a semantic set, and a binary set drawn from an
   IDX digit pair this script writes;
 - train for 2 epochs, with a CSV log: fc-lenet, rfc-lenet, a conv-GRU net
-  and a dense LSTM net with a tanh candidate on the binary set, and an
-  11-class conv-GRU net on the semantic set (softmax cross-entropy; 10
-  epochs); plus rfc-lenet in decoupled mode, seeded from the fc-lenet
-  checkpoint, and the conv-GRU net at batch size 2 (6 epochs);
+  whose first conv is 5x5 with pad 2, and a dense LSTM net with a tanh
+  candidate on the binary set, and an 11-class conv-GRU net on the semantic
+  set (softmax cross-entropy; 10 epochs); plus rfc-lenet in decoupled
+  mode, seeded from the fc-lenet checkpoint, and the conv-GRU net at batch
+  size 2 (6 epochs);
 - for each checkpoint but the batch-size-2 one: windowed and streamed
   predict on one sequence of its set, and eval on its test split; one more
   eval of the decoupled checkpoint with --per-frame;
@@ -36,13 +37,14 @@ import tempfile
 # Named here, not imported: the script runs each tree and imports neither.
 PRESETS = ("fc-lenet", "rfc-lenet", "fc-12s", "rfc-12s", "rfc-vgg", "rfcn-8s-sketch")
 
-# Architecture files written beside the data: a conv-GRU net, a dense LSTM
-# net whose candidate activation is tanh, and a conv-GRU net with a class for
-# each semantic id (background and the ten digits).
+# Architecture files written beside the data: a conv-GRU net (its 5x5,
+# pad-2 first conv and its 3x3 gates both keep their input's size), a dense
+# LSTM net whose candidate activation is tanh, and a conv-GRU net with a class
+# for each semantic id (background and the ten digits).
 ARCHS = {
     "conv_gru.json": {
         "name": "conv-gru", "input_shape": [1, 28, 28], "num_classes": 1, "window": 3,
-        "pre": [{"kind": "conv", "size": 3, "pad": 1, "depth": 4}, {"kind": "relu"},
+        "pre": [{"kind": "conv", "size": 5, "pad": 2, "depth": 4}, {"kind": "relu"},
                 {"kind": "pool", "size": 2}],
         "recurrent": {"kind": "conv_gru", "hidden": 4, "kernel": 3},
         "post": [{"kind": "conv1x1", "depth": 1},
