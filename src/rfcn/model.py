@@ -20,8 +20,8 @@ through this module's attributes, which profilers and the gradient audit's
 kink probe rebind.
 
 Only a window run for BPTT keeps caches: forward_window(..., cache=False),
-as predict calls it, and the other entry points drop each layer's cache as
-soon as the next layer has run. A relu overwrites its input when that is
+as predict calls it, and the other entry points drop a chain's or a step's
+caches as soon as it has run. A relu overwrites its input when that is
 the fresh output of the conv, conv1x1 or deconv before it in the chain and
 no skip link reads it; it never overwrites a chain's input, which is the
 caller's frame or the cell state.
